@@ -19,8 +19,11 @@ use psmpi::{pingpong, UniverseBuilder};
 /// digits. A breach means the typed path is allocating or
 /// per-element-dispatching again. Ratcheted 12x → 8x once the last
 /// typed-codec p2p call sites (the f64 collectives) moved onto the slice
-/// path and the request engine landed.
-const P2P_TYPED_BYTES_MAX_RATIO: f64 = 8.0;
+/// path and the request engine landed, then 8x → 5.1x once every send
+/// and receive became one post-and-complete path: nineteen smoke runs on
+/// a 2-vCPU x86-64 VM measured 1.5–2.52x with one 3.37x outlier, and the
+/// ceiling is that largest ratio × 1.5.
+const P2P_TYPED_BYTES_MAX_RATIO: f64 = 5.1;
 
 fn bench_pingpong(c: &mut Criterion, samples: usize) {
     let cn = deep_er_cluster_node();
@@ -81,14 +84,13 @@ fn measure_p2p(c: &mut Criterion, samples: usize) -> (u128, u128) {
                 .add_nodes(2, &deep_er_cluster_node())
                 .buffer_pool(pool.clone())
                 .run(|rank| {
-                    let w = rank.world();
                     let payload = Bytes::from(vec![0u8; MSG]);
                     let mut inbox = vec![0u8; MSG];
                     for _ in 0..ROUNDS {
                         if rank.rank() == 0 {
-                            rank.send_bytes_comm(&w, 1, 0, payload.clone()).unwrap();
+                            rank.send_bytes(1, 0, payload.clone()).unwrap();
                         } else {
-                            let (v, _) = rank.recv_bytes_comm(&w, Some(0), Some(0)).unwrap();
+                            let (v, _) = rank.recv_bytes(Some(0), Some(0)).unwrap();
                             inbox[..v.len()].copy_from_slice(&v);
                             black_box(&mut inbox);
                         }
@@ -116,7 +118,7 @@ fn main() {
         let (typed, bytes) = measure_p2p(&mut criterion, 3);
         let ratio = typed as f64 / bytes.max(1) as f64;
         println!(
-            "smoke: p2p 1MiB typed/bytes ratio {ratio:.1} (ceiling {P2P_TYPED_BYTES_MAX_RATIO})"
+            "smoke: p2p 1MiB typed/bytes ratio {ratio:.2} (ceiling {P2P_TYPED_BYTES_MAX_RATIO})"
         );
         assert!(
             ratio <= P2P_TYPED_BYTES_MAX_RATIO,

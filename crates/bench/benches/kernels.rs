@@ -140,14 +140,13 @@ fn bench_router(c: &mut Criterion) {
                 .add_nodes(2, &deep_er_cluster_node())
                 .buffer_pool(pool.clone())
                 .run(|rank| {
-                    let w = rank.world();
                     let payload = Bytes::from(vec![0u8; MSG]);
                     let mut inbox = vec![0u8; MSG];
                     for _ in 0..ROUNDS {
                         if rank.rank() == 0 {
-                            rank.send_bytes_comm(&w, 1, 0, payload.clone()).unwrap();
+                            rank.send_bytes(1, 0, payload.clone()).unwrap();
                         } else {
-                            let (v, _) = rank.recv_bytes_comm(&w, Some(0), Some(0)).unwrap();
+                            let (v, _) = rank.recv_bytes(Some(0), Some(0)).unwrap();
                             inbox[..v.len()].copy_from_slice(&v);
                             black_box(&mut inbox);
                         }
@@ -194,13 +193,12 @@ fn bench_router(c: &mut Criterion) {
                 .add_nodes(2, &deep_er_cluster_node())
                 .buffer_pool(pool.clone())
                 .run(|rank| {
-                    let w = rank.world();
                     let payload = Bytes::from(vec![0u8; MSG]);
                     for _ in 0..ROUNDS {
                         if rank.rank() == 0 {
-                            rank.send_bytes_comm(&w, 1, 0, payload.clone()).unwrap();
+                            rank.send_bytes(1, 0, payload.clone()).unwrap();
                         } else {
-                            let (v, _) = rank.recv_bytes_comm(&w, Some(0), Some(0)).unwrap();
+                            let (v, _) = rank.recv_bytes(Some(0), Some(0)).unwrap();
                             black_box(v.len());
                         }
                     }
@@ -252,11 +250,10 @@ fn bench_router(c: &mut Criterion) {
             UniverseBuilder::new()
                 .add_nodes(1, &deep_er_cluster_node())
                 .run(|rank| {
-                    let w = rank.world();
                     let payload = Bytes::from(vec![0u8; MSG]);
                     for _ in 0..ROUNDS {
-                        rank.send_bytes_comm(&w, 0, 0, payload.clone()).unwrap();
-                        let (v, _) = rank.recv_bytes_comm(&w, Some(0), Some(0)).unwrap();
+                        rank.send_bytes(0, 0, payload.clone()).unwrap();
+                        let (v, _) = rank.recv_bytes(Some(0), Some(0)).unwrap();
                         black_box(v.len());
                     }
                 })

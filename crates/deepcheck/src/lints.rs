@@ -431,36 +431,21 @@ fn d005_span_guard_discarded(path: &str, toks: &[Tok], out: &mut Vec<Finding>) {
 
 // ---------------------------------------------------------------- M003 --
 
-/// Every request-returning nonblocking method of `Rank` (the engine's
-/// `isend_*`/`irecv_*` surface plus the legacy typed `isend`/`irecv`
-/// family). A dropped return value from any of these is a lost request.
+/// Every request-returning method of `Rank`: the posted send and
+/// receive of each payload family, and the one-sided NAM put. A dropped
+/// return value from any of these is a lost request.
 const REQUEST_METHODS: &[&str] = &[
     "isend",
-    "isend_comm",
-    "isend_inter",
     "isend_bytes",
-    "isend_bytes_comm",
-    "isend_bytes_comm_sized",
-    "isend_bytes_inter",
-    "isend_bytes_inter_sized",
     "isend_slice",
-    "isend_slice_comm",
-    "isend_slice_comm_sized",
-    "isend_slice_inter",
-    "isend_slice_inter_sized",
     "irecv",
-    "irecv_comm",
-    "irecv_inter",
     "irecv_bytes",
-    "irecv_bytes_comm",
-    "irecv_bytes_inter",
     "irecv_into",
-    "irecv_into_comm",
-    "irecv_into_inter",
+    "inam_put",
 ];
 
 /// M003: a nonblocking request dropped without `wait`/`test` — an
-/// `isend_*`/`irecv_*` call whose whole statement is the call itself
+/// `isend*`/`irecv*`/`inam_put` call whose whole statement is the call itself
 /// (statement-level discard, the D005 span-guard shape). Dropping a
 /// `SendRequest` silently forfeits the deferred NIC charge and any parked
 /// fault; dropping a receive request leaves the matched message criteria
@@ -796,9 +781,10 @@ fn m001_collective_under_rank_conditional(path: &str, toks: &[Tok], out: &mut Ve
 /// literals participate; computed tags and wildcard (`None`) receives
 /// disable the corresponding direction of the check.
 fn m001_tag_literal_mismatch(path: &str, toks: &[Tok], out: &mut Vec<Finding>) {
-    // (method, zero-based index of the tag argument)
-    const SENDS: &[(&str, usize)] = &[("send", 1), ("send_bytes", 1), ("send_bytes_comm", 2)];
-    const RECVS: &[(&str, usize)] = &[("recv", 1), ("recv_bytes", 1), ("recv_bytes_comm", 2)];
+    // The blocking send/receive of every payload family; each takes
+    // `(target, tag, ..)`, so the tag is argument 1.
+    const SENDS: &[&str] = &["send", "send_slice", "send_bytes"];
+    const RECVS: &[&str] = &["recv", "recv_into", "recv_bytes"];
 
     let mut sent: Vec<(u64, u32)> = Vec::new();
     let mut recvd: Vec<(u64, u32)> = Vec::new();
@@ -814,9 +800,8 @@ fn m001_tag_literal_mismatch(path: &str, toks: &[Tok], out: &mut Vec<Finding>) {
         if m.kind != TokKind::Ident {
             continue;
         }
-        let send_slot = SENDS.iter().find(|(n, _)| *n == m.text).map(|&(_, s)| s);
-        let recv_slot = RECVS.iter().find(|(n, _)| *n == m.text).map(|&(_, s)| s);
-        if send_slot.is_none() && recv_slot.is_none() {
+        let is_send = SENDS.contains(&m.text.as_str());
+        if !is_send && !RECVS.contains(&m.text.as_str()) {
             continue;
         }
         // Opening paren of the call: next token, possibly after turbofish
@@ -841,12 +826,11 @@ fn m001_tag_literal_mismatch(path: &str, toks: &[Tok], out: &mut Vec<Finding>) {
         if !toks.get(p).is_some_and(|t| t.is_punct("(")) {
             continue;
         }
-        let slot = send_slot.or(recv_slot).unwrap();
-        let Some(arg) = call_arg(toks, p, slot) else {
+        let Some(arg) = call_arg(toks, p, 1) else {
             continue;
         };
         let tag = classify_tag_arg(toks, arg);
-        match (send_slot.is_some(), tag) {
+        match (is_send, tag) {
             (true, TagArg::Literal(v)) => sent.push((v, toks[i].line)),
             (true, _) => dynamic_send = true,
             (false, TagArg::Literal(v)) => recvd.push((v, toks[i].line)),

@@ -136,15 +136,9 @@ const BLOCKING: &[&str] = &[
     "probe_blocking",
     "probe_blocking_either",
     "recv",
-    "recv_comm",
-    "recv_inter",
     "recv_bytes",
-    "recv_bytes_comm",
-    "recv_bytes_inter",
     "recv_into",
-    "recv_into_comm",
-    "recv_into_inter",
-    "recv_raw",
+    "complete_recv",
     "probe",
 ];
 

@@ -7,11 +7,13 @@
 //! and a typed/bytes or element-width disagreement between the two ends
 //! (the receive decodes garbage or errors at runtime).
 //!
-//! The matcher indexes every `send_*`/`recv_*` call site by
-//! `(communicator, literal tag)`. The communicator key is the identifier
-//! chain of the comm argument (`world` for the world-implicit methods,
-//! `self.parent`, `ic`, …); call sites whose comm argument is an
-//! expression are opaque and disable the cross-communicator checks, as do
+//! The matcher indexes every send/receive call site (`send`, `isend`,
+//! `send_slice`, `recv_into`, `send_bytes`, `irecv_bytes`, …) by
+//! `(communicator, literal tag)`. The communicator key comes from the
+//! target argument: `world` for a bare rank, otherwise the identifier
+//! chain of the communicator in a `(comm, rank)` target (`self.parent`,
+//! `ic`, …); call sites whose communicator is an expression are opaque
+//! and disable the cross-communicator checks, as do
 //! wildcard/dynamic tags on the affected communicator — same conservative
 //! posture as M001. Element widths come from explicit turbofish types
 //! (`send::<u64>` vs `recv_into::<f32>`); inferred types stay unknown and
@@ -27,62 +29,30 @@ use std::collections::{BTreeMap, BTreeSet};
 enum Kind {
     /// Datatype-framed (`send`/`recv`/`send_slice`/`recv_into` families).
     Typed,
-    /// Raw-Bytes framed (`send_bytes_*`/`recv_bytes_*` families).
+    /// Raw-Bytes framed (`send_bytes`/`recv_bytes` and their posted forms).
     Bytes,
 }
 
-/// (method, comm-arg slot, tag-arg slot, framing). `None` comm slot means
-/// the world-implicit convenience surface.
-const SENDS: &[(&str, Option<usize>, usize, Kind)] = &[
-    ("send", None, 1, Kind::Typed),
-    ("isend", None, 1, Kind::Typed),
-    ("send_comm", Some(0), 2, Kind::Typed),
-    ("send_comm_sized", Some(0), 2, Kind::Typed),
-    ("isend_comm", Some(0), 2, Kind::Typed),
-    ("send_inter", Some(0), 2, Kind::Typed),
-    ("send_inter_sized", Some(0), 2, Kind::Typed),
-    ("isend_inter", Some(0), 2, Kind::Typed),
-    ("send_slice", None, 1, Kind::Typed),
-    ("send_slice_comm", Some(0), 2, Kind::Typed),
-    ("send_slice_comm_sized", Some(0), 2, Kind::Typed),
-    ("send_slice_inter", Some(0), 2, Kind::Typed),
-    ("send_slice_inter_sized", Some(0), 2, Kind::Typed),
-    ("isend_slice", None, 1, Kind::Typed),
-    ("isend_slice_comm", Some(0), 2, Kind::Typed),
-    ("isend_slice_comm_sized", Some(0), 2, Kind::Typed),
-    ("isend_slice_inter", Some(0), 2, Kind::Typed),
-    ("isend_slice_inter_sized", Some(0), 2, Kind::Typed),
-    ("send_bytes", None, 1, Kind::Bytes),
-    ("send_bytes_comm", Some(0), 2, Kind::Bytes),
-    ("send_bytes_comm_sized", Some(0), 2, Kind::Bytes),
-    ("send_bytes_inter", Some(0), 2, Kind::Bytes),
-    ("send_bytes_inter_sized", Some(0), 2, Kind::Bytes),
-    ("isend_bytes", None, 1, Kind::Bytes),
-    ("isend_bytes_comm", Some(0), 2, Kind::Bytes),
-    ("isend_bytes_comm_sized", Some(0), 2, Kind::Bytes),
-    ("isend_bytes_inter", Some(0), 2, Kind::Bytes),
-    ("isend_bytes_inter_sized", Some(0), 2, Kind::Bytes),
+/// (method, framing) of every send and receive, blocking and posted.
+/// Each takes the same `(target, tag, ..)` arguments, so the
+/// communicator comes from argument 0 ([`target_comm_key`]) and the tag
+/// from argument 1.
+const SENDS: &[(&str, Kind)] = &[
+    ("send", Kind::Typed),
+    ("isend", Kind::Typed),
+    ("send_slice", Kind::Typed),
+    ("isend_slice", Kind::Typed),
+    ("send_bytes", Kind::Bytes),
+    ("isend_bytes", Kind::Bytes),
 ];
 
-const RECVS: &[(&str, Option<usize>, usize, Kind)] = &[
-    ("recv", None, 1, Kind::Typed),
-    ("irecv", None, 1, Kind::Typed),
-    ("recv_comm", Some(0), 2, Kind::Typed),
-    ("irecv_comm", Some(0), 2, Kind::Typed),
-    ("recv_inter", Some(0), 2, Kind::Typed),
-    ("irecv_inter", Some(0), 2, Kind::Typed),
-    ("recv_into", None, 1, Kind::Typed),
-    ("recv_into_comm", Some(0), 2, Kind::Typed),
-    ("recv_into_inter", Some(0), 2, Kind::Typed),
-    ("irecv_into", None, 1, Kind::Typed),
-    ("irecv_into_comm", Some(0), 2, Kind::Typed),
-    ("irecv_into_inter", Some(0), 2, Kind::Typed),
-    ("recv_bytes", None, 1, Kind::Bytes),
-    ("recv_bytes_comm", Some(0), 2, Kind::Bytes),
-    ("recv_bytes_inter", Some(0), 2, Kind::Bytes),
-    ("irecv_bytes", None, 1, Kind::Bytes),
-    ("irecv_bytes_comm", Some(0), 2, Kind::Bytes),
-    ("irecv_bytes_inter", Some(0), 2, Kind::Bytes),
+const RECVS: &[(&str, Kind)] = &[
+    ("recv", Kind::Typed),
+    ("irecv", Kind::Typed),
+    ("recv_into", Kind::Typed),
+    ("irecv_into", Kind::Typed),
+    ("recv_bytes", Kind::Bytes),
+    ("irecv_bytes", Kind::Bytes),
 ];
 
 /// One indexed call site.
@@ -233,18 +203,15 @@ fn index_file(f: &FileInput<'_>, idx: &mut CrateIndex) {
         if m.kind != TokKind::Ident {
             continue;
         }
-        let send = SENDS.iter().find(|(n, _, _, _)| *n == m.text);
-        let recv = RECVS.iter().find(|(n, _, _, _)| *n == m.text);
-        let Some(&(_, comm_slot, tag_slot, kind)) = send.or(recv) else {
+        let send = SENDS.iter().find(|(n, _)| *n == m.text);
+        let recv = RECVS.iter().find(|(n, _)| *n == m.text);
+        let Some(&(_, kind)) = send.or(recv) else {
             continue;
         };
         let Some((open, width)) = call_open(toks, i + 2) else {
             continue;
         };
-        let comm = match comm_slot {
-            None => Some("world".to_string()),
-            Some(s) => call_arg(toks, open, s).and_then(|a| comm_key(toks, a)),
-        };
+        let comm = call_arg(toks, open, 0).and_then(|a| target_comm_key(toks, a));
         let is_send = send.is_some();
         let Some(comm) = comm else {
             if is_send {
@@ -254,7 +221,7 @@ fn index_file(f: &FileInput<'_>, idx: &mut CrateIndex) {
             }
             continue;
         };
-        let tag = match call_arg(toks, open, tag_slot) {
+        let tag = match call_arg(toks, open, 1) {
             Some(a) => classify_tag_arg(toks, a),
             None => TagArg::Dynamic,
         };
@@ -318,7 +285,21 @@ fn prim_width(name: &str) -> Option<u8> {
     }
 }
 
-/// The identifier chain of a comm argument (`&self.parent` →
+/// The communicator key of a target argument: `world` for a bare rank
+/// (`1`, `next`, `Some(0)`, `None`), the identifier chain of the first
+/// element for a `(comm, rank)` tuple (`(&self.parent, 0)` →
+/// `self.parent`).
+fn target_comm_key(toks: &[Tok], start: usize) -> Option<String> {
+    let is_tuple =
+        toks.get(start).is_some_and(|t| t.is_punct("(")) && call_arg(toks, start, 1).is_some();
+    if is_tuple {
+        comm_key(toks, start + 1)
+    } else {
+        Some("world".to_string())
+    }
+}
+
+/// The identifier chain of a comm expression (`&self.parent` →
 /// `self.parent`). Any call, index, or path expression makes the comm
 /// opaque (`None`).
 fn comm_key(toks: &[Tok], start: usize) -> Option<String> {
@@ -366,8 +347,8 @@ mod tests {
     fn cross_comm_tag_mismatch_fires() {
         let src = "\
 fn f(r: &mut Rank, a: &Communicator, b: &Communicator) {
-    r.send_comm(a, 1, 7, &x).unwrap();
-    let y = r.recv_comm::<u64>(b, None, Some(7)).unwrap();
+    r.send((a, 1), 7, &x).unwrap();
+    let y = r.recv::<u64>((b, None), Some(7)).unwrap();
 }
 ";
         let msgs = m002(src);
@@ -379,8 +360,8 @@ fn f(r: &mut Rank, a: &Communicator, b: &Communicator) {
     fn same_comm_flow_is_clean() {
         let src = "\
 fn f(r: &mut Rank, a: &Communicator) {
-    r.send_comm(a, 1, 7, &x).unwrap();
-    let y = r.recv_comm::<u64>(a, None, Some(7)).unwrap();
+    r.send((a, 1), 7, &x).unwrap();
+    let y = r.recv::<u64>((a, None), Some(7)).unwrap();
 }
 ";
         assert!(m002(src).is_empty());
@@ -404,8 +385,8 @@ fn f(r: &mut Rank) {
     fn typed_bytes_framing_mismatch_fires() {
         let src = "\
 fn f(r: &mut Rank, ic: &Intercomm) {
-    r.send_bytes_inter(ic, 0, 9, payload).unwrap();
-    let y = r.recv_inter::<Vec<u8>>(ic, None, Some(9)).unwrap();
+    r.send_bytes((ic, 0), 9, payload).unwrap();
+    let y = r.recv::<Vec<u8>>((ic, None), Some(9)).unwrap();
 }
 ";
         let msgs = m002(src);
@@ -417,10 +398,10 @@ fn f(r: &mut Rank, ic: &Intercomm) {
     fn dynamic_and_wildcard_sites_disable_the_checks() {
         let src = "\
 fn f(r: &mut Rank, a: &Communicator, b: &Communicator, tag: u64) {
-    r.send_comm(a, 1, tag, &x).unwrap();
-    let y = r.recv_comm::<u64>(b, None, Some(7)).unwrap();
-    r.send_comm(b, 1, 8, &x).unwrap();
-    let z = r.recv_comm::<u64>(b, None, None).unwrap();
+    r.send((a, 1), tag, &x).unwrap();
+    let y = r.recv::<u64>((b, None), Some(7)).unwrap();
+    r.send((b, 1), 8, &x).unwrap();
+    let z = r.recv::<u64>((b, None), None).unwrap();
 }
 ";
         assert!(m002(src).is_empty(), "{:?}", m002(src));

@@ -15,12 +15,12 @@ pub fn bad_try(rank: &mut psmpi::Rank, v: &[f64]) -> Result<(), psmpi::MpiError>
 }
 
 pub fn bad_comm(rank: &mut psmpi::Rank, c: &psmpi::Communicator, data: bytes::Bytes) {
-    rank.isend_bytes_comm(c, 1, 11, data).unwrap();
+    rank.isend_bytes((c, 1), 11, data).unwrap();
 }
 
 pub fn good_comm_recv(rank: &mut psmpi::Rank, c: &psmpi::Communicator) {
     use psmpi::MpiRequest;
-    let req = rank.irecv_bytes_comm(c, Some(1), Some(11)).unwrap();
+    let req = rank.irecv_bytes((c, Some(1)), Some(11)).unwrap();
     let _ = req.wait(rank).unwrap();
 }
 

@@ -215,7 +215,7 @@ fn m003_fires_on_discarded_requests_and_spares_consumed_ones() {
             ("M003".to_string(), 5),  // isend_bytes(...).unwrap();
             ("M003".to_string(), 9),  // irecv_bytes(...).expect(...);
             ("M003".to_string(), 13), // isend_slice(...)?;
-            ("M003".to_string(), 18), // isend_bytes_comm(...).unwrap();
+            ("M003".to_string(), 18), // isend_bytes((c, 1), ..).unwrap();
                                       // bound, chained and returned requests stay silent.
         ]
     );

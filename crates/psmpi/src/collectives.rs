@@ -84,8 +84,8 @@ impl Rank {
             let dist = 1usize << k;
             let to = (me + dist) % n;
             let from = (me + n - dist) % n;
-            self.send_comm(comm, to, TAG_BARRIER, &(k as u64))?;
-            let (round, _) = self.recv_comm::<u64>(comm, Some(from), Some(TAG_BARRIER))?;
+            self.send((comm, to), TAG_BARRIER, &(k as u64))?;
+            let (round, _) = self.recv::<u64>((comm, Some(from)), Some(TAG_BARRIER))?;
             // FIFO per (src, tag) pair guarantees rounds from one source
             // arrive in order, so the match is always our own round.
             debug_assert_eq!(round as usize, k, "dissemination rounds are ordered");
@@ -181,20 +181,20 @@ impl Rank {
                 let seg = segment.max(1);
                 let header = (payload.len() as u64, seg as u64);
                 for &c in &children {
-                    self.send_comm(comm, to_abs(c), TAG_BCAST_HDR, &header)?;
+                    self.send((comm, to_abs(c)), TAG_BCAST_HDR, &header)?;
                 }
                 let mut off = 0;
                 while off < payload.len() {
                     let end = (off + seg).min(payload.len());
                     let slice = payload.slice(off..end);
                     for &c in &children {
-                        self.send_bytes_comm(comm, to_abs(c), TAG_BCAST_SEG, slice.clone())?;
+                        self.send_bytes((comm, to_abs(c)), TAG_BCAST_SEG, slice.clone())?;
                     }
                     off = end;
                 }
             } else {
                 for &c in &children {
-                    self.send_bytes_comm(comm, to_abs(c), TAG_BCAST, payload.clone())?;
+                    self.send_bytes((comm, to_abs(c)), TAG_BCAST, payload.clone())?;
                 }
             }
             return Ok(payload);
@@ -205,23 +205,22 @@ impl Rank {
             self.mailbox()
                 .probe_blocking_either(comm.id, parent_abs, TAG_BCAST, TAG_BCAST_HDR);
         if first == TAG_BCAST {
-            let (v, _) = self.recv_bytes_comm(comm, Some(parent_abs), Some(TAG_BCAST))?;
+            let (v, _) = self.recv_bytes((comm, Some(parent_abs)), Some(TAG_BCAST))?;
             for &c in &children {
-                self.send_bytes_comm(comm, to_abs(c), TAG_BCAST, v.clone())?;
+                self.send_bytes((comm, to_abs(c)), TAG_BCAST, v.clone())?;
             }
             return Ok(v);
         }
-        let (header, _) =
-            self.recv_comm::<(u64, u64)>(comm, Some(parent_abs), Some(TAG_BCAST_HDR))?;
+        let (header, _) = self.recv::<(u64, u64)>((comm, Some(parent_abs)), Some(TAG_BCAST_HDR))?;
         for &c in &children {
-            self.send_comm(comm, to_abs(c), TAG_BCAST_HDR, &header)?;
+            self.send((comm, to_abs(c)), TAG_BCAST_HDR, &header)?;
         }
         let (total, seg) = (header.0 as usize, header.1 as usize);
         let mut out = self.router().buffer_pool().get(total);
         while out.len() < total {
-            let (slice, _) = self.recv_bytes_comm(comm, Some(parent_abs), Some(TAG_BCAST_SEG))?;
+            let (slice, _) = self.recv_bytes((comm, Some(parent_abs)), Some(TAG_BCAST_SEG))?;
             for &c in &children {
-                self.send_bytes_comm(comm, to_abs(c), TAG_BCAST_SEG, slice.clone())?;
+                self.send_bytes((comm, to_abs(c)), TAG_BCAST_SEG, slice.clone())?;
             }
             out.extend_from_slice(&slice);
             debug_assert!(
@@ -265,13 +264,13 @@ impl Rank {
         while mask < n {
             if rel & mask != 0 {
                 let dst = (me + n - mask) % n;
-                self.send_slice_comm(comm, dst, TAG_REDUCE, &acc)?;
+                self.send_slice((comm, dst), TAG_REDUCE, &acc)?;
                 return Ok(None);
             }
             let src_rel = rel | mask;
             if src_rel < n {
                 let src = (src_rel + root) % n;
-                self.recv_into_comm(comm, Some(src), Some(TAG_REDUCE), &mut scratch)?;
+                self.recv_into((comm, Some(src)), Some(TAG_REDUCE), &mut scratch)?;
                 op.apply_slice(&mut acc, &scratch);
             }
             mask <<= 1;
@@ -321,8 +320,8 @@ impl Rank {
         let mut mask = 1usize;
         while mask < n {
             let partner = me ^ mask;
-            self.send_slice_comm(comm, partner, TAG_ALLREDUCE, &acc)?;
-            self.recv_into_comm(comm, Some(partner), Some(TAG_ALLREDUCE), &mut scratch)?;
+            self.send_slice((comm, partner), TAG_ALLREDUCE, &acc)?;
+            self.recv_into((comm, Some(partner)), Some(TAG_ALLREDUCE), &mut scratch)?;
             if partner > me {
                 // Our block is the lower half of this round's pair.
                 op.apply_slice(&mut acc, &scratch);
@@ -365,7 +364,7 @@ impl Rank {
         let n = comm.size();
         let me = self.comm_rank(comm)?;
         if me != root {
-            self.send_comm(comm, root, TAG_GATHER, value)?;
+            self.send((comm, root), TAG_GATHER, value)?;
             return Ok(None);
         }
         let mut out: Vec<Option<T>> = vec![None; n];
@@ -374,7 +373,7 @@ impl Rank {
             if src == root {
                 continue;
             }
-            let (v, _) = self.recv_comm::<T>(comm, Some(src), Some(TAG_GATHER))?;
+            let (v, _) = self.recv::<T>((comm, Some(src)), Some(TAG_GATHER))?;
             *slot = Some(v);
         }
         Ok(Some(
@@ -413,8 +412,8 @@ impl Rank {
         blocks[me] = Some(own.clone());
         let mut current = own;
         for round in 0..n - 1 {
-            self.send_bytes_comm(comm, right, TAG_ALLGATHER, current)?;
-            let (incoming, _) = self.recv_bytes_comm(comm, Some(left), Some(TAG_ALLGATHER))?;
+            self.send_bytes((comm, right), TAG_ALLGATHER, current)?;
+            let (incoming, _) = self.recv_bytes((comm, Some(left)), Some(TAG_ALLGATHER))?;
             // Round r delivers the block that originated r+1 hops to the
             // left (FIFO per link keeps the stream in origin order).
             let origin = (me + n - 1 - round) % n;
@@ -461,12 +460,12 @@ impl Rank {
                 if i == me {
                     own = Some(v);
                 } else {
-                    self.send_comm(comm, i, TAG_SCATTER, &v)?;
+                    self.send((comm, i), TAG_SCATTER, &v)?;
                 }
             }
             Ok(own.expect("root keeps its own element"))
         } else {
-            let (v, _) = self.recv_comm::<T>(comm, Some(root), Some(TAG_SCATTER))?;
+            let (v, _) = self.recv::<T>((comm, Some(root)), Some(TAG_SCATTER))?;
             Ok(v)
         }
     }
@@ -497,7 +496,7 @@ impl Rank {
         // Buffered sends cannot deadlock; send everything, then receive.
         for (i, v) in values.iter().enumerate() {
             if i != me {
-                self.send_comm(comm, i, TAG_ALLTOALL, v)?;
+                self.send((comm, i), TAG_ALLTOALL, v)?;
             }
         }
         let mut out: Vec<Option<T>> = vec![None; n];
@@ -506,7 +505,7 @@ impl Rank {
             if src == me {
                 continue;
             }
-            let (v, _) = self.recv_comm::<T>(comm, Some(src), Some(TAG_ALLTOALL))?;
+            let (v, _) = self.recv::<T>((comm, Some(src)), Some(TAG_ALLTOALL))?;
             *slot = Some(v);
         }
         Ok(out.into_iter().map(|o| o.expect("all received")).collect())
@@ -580,12 +579,12 @@ impl Rank {
                 if r == 0 {
                     my_own = info;
                 } else {
-                    self.send_comm(comm, r, TAG_SPLIT, &info)?;
+                    self.send((comm, r), TAG_SPLIT, &info)?;
                 }
             }
             my_own
         } else {
-            let (info, _) = self.recv_comm::<(u64, Vec<u64>)>(comm, Some(0), Some(TAG_SPLIT))?;
+            let (info, _) = self.recv::<(u64, Vec<u64>)>((comm, Some(0)), Some(TAG_SPLIT))?;
             info
         };
 

@@ -23,8 +23,8 @@ impl Rank {
         src: usize,
         value: &T,
     ) -> Result<(T, Status), PsmpiError> {
-        self.send_comm(comm, dst, TAG_SENDRECV, value)?;
-        self.recv_comm(comm, Some(src), Some(TAG_SENDRECV))
+        self.send((comm, dst), TAG_SENDRECV, value)?;
+        self.recv((comm, Some(src)), Some(TAG_SENDRECV))
     }
 
     /// Inclusive prefix reduction (MPI_Scan): rank `i` receives the
@@ -43,12 +43,12 @@ impl Rank {
         if me > 0 {
             // Fixed-width chain hop: receive the running prefix in place.
             let mut prev = vec![0.0f64; acc.len()];
-            self.recv_into_comm(comm, Some(me - 1), Some(TAG_SCAN), &mut prev)?;
+            self.recv_into((comm, Some(me - 1)), Some(TAG_SCAN), &mut prev)?;
             op.apply_slice(&mut prev, &acc);
             acc = prev;
         }
         if me + 1 < n {
-            self.send_slice_comm(comm, me + 1, TAG_SCAN, &acc)?;
+            self.send_slice((comm, me + 1), TAG_SCAN, &acc)?;
         }
         Ok(acc)
     }
@@ -65,12 +65,12 @@ impl Rank {
         let me = self.comm_rank(comm)?;
         let mut incoming = vec![op.identity(); contribution.len()];
         if me > 0 {
-            self.recv_into_comm(comm, Some(me - 1), Some(TAG_SCAN), &mut incoming)?;
+            self.recv_into((comm, Some(me - 1)), Some(TAG_SCAN), &mut incoming)?;
         }
         if me + 1 < n {
             let mut outgoing = incoming.clone();
             op.apply_slice(&mut outgoing, contribution);
-            self.send_slice_comm(comm, me + 1, TAG_SCAN, &outgoing)?;
+            self.send_slice((comm, me + 1), TAG_SCAN, &outgoing)?;
         }
         Ok(incoming)
     }
@@ -125,9 +125,9 @@ impl Rank {
                 (lo + half, lo)
             };
             let outgoing = &work[send_lo * block..(send_lo + half) * block];
-            self.send_slice_comm(comm, partner, TAG_REDUCE_SCATTER, outgoing)?;
+            self.send_slice((comm, partner), TAG_REDUCE_SCATTER, outgoing)?;
             let mut theirs = vec![0.0f64; half * block];
-            self.recv_into_comm(comm, Some(partner), Some(TAG_REDUCE_SCATTER), &mut theirs)?;
+            self.recv_into((comm, Some(partner)), Some(TAG_REDUCE_SCATTER), &mut theirs)?;
             let keep = &mut work[keep_lo * block..(keep_lo + half) * block];
             if partner > me {
                 op.apply_slice(keep, &theirs);
@@ -153,7 +153,7 @@ impl Rank {
         let n = comm.size();
         let me = self.comm_rank(comm)?;
         if me != root {
-            self.send_comm(comm, root, TAG_GATHERV, &value.to_vec())?;
+            self.send((comm, root), TAG_GATHERV, &value.to_vec())?;
             return Ok(None);
         }
         let mut out: Vec<Option<Vec<T>>> = vec![None; n];
@@ -162,7 +162,7 @@ impl Rank {
             if src == root {
                 continue;
             }
-            let (v, _) = self.recv_comm::<Vec<T>>(comm, Some(src), Some(TAG_GATHERV))?;
+            let (v, _) = self.recv::<Vec<T>>((comm, Some(src)), Some(TAG_GATHERV))?;
             *slot = Some(v);
         }
         Ok(Some(

@@ -185,7 +185,7 @@ pub fn bytes_to_pod<T: FixedWidth>(buf: &Bytes) -> Result<Vec<T>, CodecError> {
 
 /// [`pod_to_bytes`] encoding into a buffer drawn from `pool` instead of a
 /// fresh allocation — the steady-state typed send path of
-/// [`crate::Rank::send_slice_comm`].
+/// [`crate::Rank::send_slice`].
 pub fn pod_to_bytes_pooled<T: FixedWidth>(pool: &crate::BufferPool, items: &[T]) -> Bytes {
     let mut buf = pool.get(items.len() * T::WIDTH);
     T::encode_slice(items, &mut buf);

@@ -13,9 +13,11 @@
 //!   through a matching engine with MPI semantics (communicator + tag +
 //!   source matching, wildcards, FIFO per pair);
 //! * point-to-point ([`Rank::send`]/[`Rank::recv`] and the nonblocking
-//!   [`Rank::isend`]/[`Rank::irecv`]/[`Request::wait`]) and the usual
-//!   collectives (implemented as real binomial-tree / pairwise algorithms on
-//!   top of point-to-point, exactly like an MPI library);
+//!   [`Rank::isend`]/[`Rank::irecv`]/[`MpiRequest::wait`], plus raw-`Bytes`
+//!   and POD-slice forms of each), addressed by one [`Target`] — a world
+//!   rank, a communicator rank or an inter-communicator remote rank — and
+//!   the usual collectives (implemented as real binomial-tree / pairwise
+//!   algorithms on top of point-to-point, exactly like an MPI library);
 //! * [`Rank::spawn`] — the offload call: collectively starts a child world
 //!   on a chosen set of nodes and returns an [`Intercomm`], while the
 //!   children find their parent via [`Rank::parent`];
@@ -65,7 +67,10 @@ pub use comm::{CommId, Communicator, Intercomm};
 pub use datatype::{FixedWidth, MpiDatatype, Raw, ReduceOp};
 pub use envelope::{Envelope, Status, Tag, ANY_SOURCE, ANY_TAG, TAG_REVOKED};
 pub use pool::{BufferPool, PoolStats, DEFAULT_MAX_POOLED_BUFFERS};
-pub use rank::{MpiRequest, PsmpiError, Rank, RecvIntoRequest, RecvRequest, Request, SendRequest};
+pub use rank::{
+    MpiRequest, Payload, PsmpiError, Rank, RecvIntoRequest, RecvRequest, SendRequest, Target,
+    TypedRecvRequest,
+};
 pub use router::{RecvAbort, RetryPolicy};
 
 /// MPI-flavoured alias for [`PsmpiError`]: the typed error surface a dead

@@ -1,11 +1,12 @@
 //! The per-process handle: point-to-point messaging, virtual time, compute
 //! charging. One [`Rank`] is owned by each rank thread.
 
-use crate::comm::{CommId, Communicator, Intercomm};
+use crate::comm::{CommId, Communicator, Group, Intercomm};
 use crate::datatype::{
     pod_to_bytes_pooled, read_pod_into_exact, CodecError, FixedWidth, MpiDatatype,
 };
 use crate::envelope::{EndpointId, Envelope, Status, Tag, TAG_REVOKED};
+use crate::pool::BufferPool;
 use crate::router::{EndpointEntry, Mailbox, RecvAbort, Router};
 use bytes::{BufMut, Bytes, BytesMut};
 use hwmodel::{CostModel, NodeId, NodeSpec, SimTime, WorkSpec};
@@ -86,30 +87,137 @@ impl From<CodecError> for PsmpiError {
     }
 }
 
+/// Where a point-to-point operation goes to or comes from: a rank of the
+/// world, a rank of an intra-communicator, or a rank of an
+/// inter-communicator's *remote* group (MPI inter-communicator
+/// addressing, used for Cluster↔Booster exchange after spawn). `R` is
+/// `usize` for a send's destination and `Option<usize>` for a receive's
+/// source, where `None` matches any source.
+///
+/// Targets are built by conversion, so every messaging call takes one
+/// target argument: a bare rank addresses the world, `(&comm, r)` an
+/// intra-communicator and `(&intercomm, r)` an inter-communicator. The
+/// rank is range-checked against the addressed group when the operation
+/// is posted, for every kind alike ([`PsmpiError::InvalidRank`]).
+///
+/// ```
+/// use psmpi::UniverseBuilder;
+/// use hwmodel::presets::deep_er_cluster_node;
+///
+/// UniverseBuilder::new()
+///     .add_nodes(2, &deep_er_cluster_node())
+///     .run(|rank| {
+///         let w = rank.world();
+///         if rank.rank() == 0 {
+///             rank.send(1, 7, &1u64).unwrap(); // world rank 1
+///             rank.send((&w, 1), 8, &2u64).unwrap(); // rank 1 of `w`
+///         } else {
+///             let (a, _) = rank.recv::<u64>(Some(0), Some(7)).unwrap();
+///             let (b, _) = rank.recv::<u64>((&w, None), Some(8)).unwrap();
+///             assert_eq!((a, b), (1, 2));
+///         }
+///     });
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Target<'a, R = usize> {
+    on: On<'a>,
+    rank: R,
+}
+
+/// The communicator a [`Target`] names its rank in.
+#[derive(Debug, Clone, Copy)]
+enum On<'a> {
+    World,
+    Comm(&'a Communicator),
+    Inter(&'a Intercomm),
+}
+
+impl<R> From<R> for Target<'_, R> {
+    fn from(rank: R) -> Self {
+        Target {
+            on: On::World,
+            rank,
+        }
+    }
+}
+
+impl<'a, R> From<(&'a Communicator, R)> for Target<'a, R> {
+    fn from((comm, rank): (&'a Communicator, R)) -> Self {
+        Target {
+            on: On::Comm(comm),
+            rank,
+        }
+    }
+}
+
+impl<'a, R> From<(&'a Intercomm, R)> for Target<'a, R> {
+    fn from((ic, rank): (&'a Intercomm, R)) -> Self {
+        Target {
+            on: On::Inter(ic),
+            rank,
+        }
+    }
+}
+
+/// A raw payload for the `*_bytes` sends: the buffer, plus optionally
+/// the size the wire model charges instead of the buffer's length
+/// (model-scale exchanges over reduced-scale data). A plain [`Bytes`]
+/// converts into a payload charged at its own length.
+#[derive(Debug, Clone)]
+pub struct Payload {
+    bytes: Bytes,
+    wire_size: Option<usize>,
+}
+
+impl Payload {
+    /// `bytes` travels, `wire_size` bytes are charged on the wire.
+    pub fn sized(bytes: Bytes, wire_size: usize) -> Self {
+        Payload {
+            bytes,
+            wire_size: Some(wire_size),
+        }
+    }
+}
+
+impl From<Bytes> for Payload {
+    fn from(bytes: Bytes) -> Self {
+        Payload {
+            bytes,
+            wire_size: None,
+        }
+    }
+}
+
 /// How a posted send resolved. Everything here is computed at post time
 /// from the sender's virtual state — what is *deferred* is the charge:
-/// the poster's clock does not move until `wait`/`test`.
+/// the poster's clock does not move until the send completes.
 #[derive(Debug, Clone)]
 enum SendOutcome {
     /// The injection cleared the fault checks; NIC serialization (plus
     /// any link-retry backoff walked through first) finishes at
     /// `completion`.
     Done { completion: SimTime },
-    /// A fault path fired while posting. Surfaced at wait time, with the
-    /// clock advanced to where the blocking path would have given up.
+    /// A fault path fired while posting. Surfaced at completion, with the
+    /// clock advanced to where the sender gave up.
     Failed { err: PsmpiError, at: SimTime },
 }
 
-/// Span labels `recv_raw_as` stamps: (category, matched name, aborted
-/// name). Blocking receives keep the historical `Recv`/"recv" labels;
-/// request completions show up as request-scoped `Wait` spans so overlap
-/// wins are legible in the per-module profile.
-type RecvSpans = (obs::Category, &'static str, &'static str);
-const BLOCKING_SPANS: RecvSpans = (obs::Category::Recv, "recv", "recv-aborted");
-const WAIT_SPANS: RecvSpans = (obs::Category::Wait, "wait-recv", "wait-aborted");
+/// Which obs spans a completion stamps. Every blocking call is a post
+/// followed by an immediate completion with `Blocking` labels, which keep
+/// the historical spans: a `Send`/"send" span on every successful send
+/// (even a zero-length one; none when the send fails) and
+/// `Recv`/"recv" or "recv-aborted" on receives. Request completions stamp
+/// request-scoped `Wait` spans ("wait-send" whenever the clock moved,
+/// "wait-recv", "wait-aborted") so overlap wins are legible in the
+/// per-module profile.
+#[derive(Debug, Clone, Copy)]
+enum Spans {
+    Blocking,
+    Wait,
+}
 
-/// Common completion surface of the typed request handles
-/// ([`SendRequest`], [`RecvRequest`], [`RecvIntoRequest`]). `wait`
+/// Common completion surface of the request handles ([`SendRequest`],
+/// [`RecvRequest`], [`TypedRecvRequest`], [`RecvIntoRequest`]). `wait`
 /// completes the operation on the calling rank and advances its clock to
 /// the completion timestamp; `test` completes only if that can happen
 /// without blocking. [`Rank::waitall`] drains a homogeneous batch in
@@ -130,7 +238,8 @@ pub trait MpiRequest {
         Self: Sized;
 }
 
-/// A posted nonblocking send (`isend_bytes_*` / `isend_slice_*`).
+/// A posted send ([`Rank::isend`], [`Rank::isend_bytes`],
+/// [`Rank::isend_slice`], [`Rank::inam_put`]).
 ///
 /// The envelope was deposited with the receiver at post time (buffered
 /// semantics: the message is matchable immediately, stamped exactly as
@@ -148,7 +257,7 @@ impl MpiRequest for SendRequest {
     type Output = ();
 
     fn wait(self, rank: &mut Rank) -> Result<(), PsmpiError> {
-        rank.complete_send(self.outcome)
+        rank.complete_send(self.outcome, Spans::Wait)
     }
 
     fn test(self, rank: &mut Rank) -> Result<Result<(), Self>, PsmpiError> {
@@ -158,13 +267,13 @@ impl MpiRequest for SendRequest {
     }
 }
 
-/// A posted nonblocking raw-payload receive (`irecv_bytes_*`).
+/// A posted raw-payload receive ([`Rank::irecv_bytes`]).
 ///
 /// Posting records the matching criteria only — in virtual time a post
 /// is free, and the payoff comes from waiting late: completion sets the
 /// clock to `max(clock at wait, arrival)`, so compute done between post
-/// and wait hides the transfer. Completion emits a request-scoped `Wait`
-/// span and surfaces sender death as [`PsmpiError::NodeFailed`].
+/// and wait hides the transfer. Completion surfaces sender death as
+/// [`PsmpiError::NodeFailed`].
 #[must_use = "an irecv only matches at wait/test (deepcheck M003)"]
 pub struct RecvRequest {
     comm: CommId,
@@ -175,19 +284,29 @@ pub struct RecvRequest {
     src_ep: Option<EndpointId>,
 }
 
+impl RecvRequest {
+    fn complete(self, rank: &mut Rank, spans: Spans) -> Result<(Bytes, Status), PsmpiError> {
+        rank.complete_recv(self.comm, self.src, self.tag, self.src_ep, spans)
+    }
+
+    /// Whether a matching message is already queued (completion would not
+    /// block).
+    fn ready(&self, rank: &Rank) -> bool {
+        rank.mailbox
+            .probe_match(self.comm, self.src, self.tag)
+            .is_some()
+    }
+}
+
 impl MpiRequest for RecvRequest {
     type Output = (Bytes, Status);
 
     fn wait(self, rank: &mut Rank) -> Result<(Bytes, Status), PsmpiError> {
-        rank.recv_raw_as(self.comm, self.src, self.tag, self.src_ep, WAIT_SPANS)
+        self.complete(rank, Spans::Wait)
     }
 
     fn test(self, rank: &mut Rank) -> Result<Result<(Bytes, Status), Self>, PsmpiError> {
-        if rank
-            .mailbox
-            .probe_match(self.comm, self.src, self.tag)
-            .is_some()
-        {
+        if self.ready(rank) {
             Ok(Ok(self.wait(rank)?))
         } else {
             Ok(Err(self))
@@ -195,108 +314,72 @@ impl MpiRequest for RecvRequest {
     }
 }
 
-/// A posted in-place typed receive (`irecv_into_*`): borrows the
+/// A posted typed receive ([`Rank::irecv`]): decodes the payload as `T`
+/// at completion and recycles the wire buffer.
+#[must_use = "an irecv only matches at wait/test (deepcheck M003)"]
+pub struct TypedRecvRequest<T: MpiDatatype> {
+    inner: RecvRequest,
+    _t: PhantomData<T>,
+}
+
+impl<T: MpiDatatype> TypedRecvRequest<T> {
+    fn complete(self, rank: &mut Rank, spans: Spans) -> Result<(T, Status), PsmpiError> {
+        let (bytes, st) = self.inner.complete(rank, spans)?;
+        let value = T::from_bytes(bytes.clone())?;
+        // Return the payload allocation to the pool — a no-op whenever the
+        // decode (e.g. `Raw`) or another rank still holds a reference.
+        rank.router.buffer_pool().recycle(bytes);
+        Ok((value, st))
+    }
+}
+
+impl<T: MpiDatatype> MpiRequest for TypedRecvRequest<T> {
+    type Output = (T, Status);
+
+    fn wait(self, rank: &mut Rank) -> Result<(T, Status), PsmpiError> {
+        self.complete(rank, Spans::Wait)
+    }
+
+    fn test(self, rank: &mut Rank) -> Result<Result<(T, Status), Self>, PsmpiError> {
+        if self.inner.ready(rank) {
+            Ok(Ok(self.wait(rank)?))
+        } else {
+            Ok(Err(self))
+        }
+    }
+}
+
+/// A posted in-place typed receive ([`Rank::irecv_into`]): borrows the
 /// caller's output slice for the request's lifetime and bulk-decodes
-/// straight into it at [`MpiRequest::wait`] (the message's element count
-/// must match the slice length exactly, as with
-/// [`Rank::recv_into_comm`]).
+/// straight into it at completion (the message's element count must
+/// match the slice length exactly).
 #[must_use = "an irecv only matches at wait/test (deepcheck M003)"]
 pub struct RecvIntoRequest<'a, T: FixedWidth> {
     inner: RecvRequest,
     out: &'a mut [T],
 }
 
-impl<T: FixedWidth> MpiRequest for RecvIntoRequest<'_, T> {
-    type Output = Status;
-
-    fn wait(self, rank: &mut Rank) -> Result<Status, PsmpiError> {
-        let (bytes, st) = self.inner.wait(rank)?;
+impl<T: FixedWidth> RecvIntoRequest<'_, T> {
+    fn complete(self, rank: &mut Rank, spans: Spans) -> Result<Status, PsmpiError> {
+        let (bytes, st) = self.inner.complete(rank, spans)?;
         read_pod_into_exact(&bytes, self.out)?;
         rank.router.buffer_pool().recycle(bytes);
         Ok(st)
     }
+}
+
+impl<T: FixedWidth> MpiRequest for RecvIntoRequest<'_, T> {
+    type Output = Status;
+
+    fn wait(self, rank: &mut Rank) -> Result<Status, PsmpiError> {
+        self.complete(rank, Spans::Wait)
+    }
 
     fn test(self, rank: &mut Rank) -> Result<Result<Status, Self>, PsmpiError> {
-        if rank
-            .mailbox
-            .probe_match(self.inner.comm, self.inner.src, self.inner.tag)
-            .is_some()
-        {
+        if self.inner.ready(rank) {
             Ok(Ok(self.wait(rank)?))
         } else {
             Ok(Err(self))
-        }
-    }
-}
-
-/// A completed or in-flight nonblocking operation of the legacy typed
-/// surface (`isend`/`irecv` over [`MpiDatatype`]).
-///
-/// `isend` deposits at post time and defers its sender-side charge to
-/// the handle (same accounting as [`SendRequest`]); `irecv` records the
-/// matching criteria and performs the receive at [`Request::wait`]. The
-/// virtual-time effect is exactly MPI's: compute performed between
-/// posting and waiting overlaps the transfer, because the receive clock
-/// is `max(local clock, message arrival)`.
-pub struct Request<T: MpiDatatype = ()> {
-    kind: RequestKind,
-    _t: PhantomData<T>,
-}
-
-enum RequestKind {
-    Send(SendOutcome),
-    Recv {
-        comm: CommId,
-        src: Option<usize>,
-        tag: Option<Tag>,
-        /// Awaited sender's endpoint (resolved at post time); lets the
-        /// receive abort if that endpoint's node dies.
-        src_ep: Option<EndpointId>,
-    },
-}
-
-impl<T: MpiDatatype> Request<T> {
-    /// Complete the operation on the calling rank. For sends this applies
-    /// the deferred NIC/backoff charge (and surfaces deferred faults);
-    /// for receives it blocks until the message is delivered and returns
-    /// it.
-    pub fn wait(self, rank: &mut Rank) -> Result<(Option<T>, Option<Status>), PsmpiError> {
-        match self.kind {
-            RequestKind::Send(outcome) => {
-                rank.complete_send(outcome)?;
-                Ok((None, None))
-            }
-            RequestKind::Recv {
-                comm,
-                src,
-                tag,
-                src_ep,
-            } => {
-                let (v, st) = rank.recv_raw_as(comm, src, tag, src_ep, WAIT_SPANS)?;
-                let val = T::from_bytes(v.clone())?;
-                rank.router.buffer_pool().recycle(v);
-                Ok((Some(val), Some(st)))
-            }
-        }
-    }
-
-    /// Nonblocking completion check (MPI_Test): if the operation can
-    /// complete now, complete it and return `Ok(value)`; otherwise hand the
-    /// request back for a later retry. Sends always complete.
-    #[allow(clippy::type_complexity)]
-    pub fn test(
-        self,
-        rank: &mut Rank,
-    ) -> Result<Result<(Option<T>, Option<Status>), Request<T>>, PsmpiError> {
-        match &self.kind {
-            RequestKind::Send(_) => Ok(Ok(self.wait(rank)?)),
-            RequestKind::Recv { comm, src, tag, .. } => {
-                if rank.mailbox.probe_match(*comm, *src, *tag).is_some() {
-                    Ok(Ok(self.wait(rank)?))
-                } else {
-                    Ok(Err(self))
-                }
-            }
         }
     }
 }
@@ -508,9 +591,9 @@ impl Rank {
     }
 
     /// The universe-wide encode-buffer pool. Applications encoding raw
-    /// payloads for the `send_bytes_*` API can stage through it to reuse
+    /// payloads for [`Rank::send_bytes`] can stage through it to reuse
     /// retired allocations on hot exchange paths.
-    pub fn buffer_pool(&self) -> &crate::pool::BufferPool {
+    pub fn buffer_pool(&self) -> &BufferPool {
         self.router.buffer_pool()
     }
 
@@ -585,261 +668,175 @@ impl Rank {
         t
     }
 
-    // ---- point-to-point on an explicit communicator ----
+    // ---- point-to-point ----
+    //
+    // Three payload families share one engine: typed values
+    // ([`MpiDatatype`], framed codec), raw [`Bytes`] (zero-copy: the
+    // handle is refcount-cloned into the envelope and `recv_bytes` hands
+    // back the very same allocation) and POD slices (bulk-encoded into a
+    // pooled buffer on send, decoded into a caller-owned slice on receive,
+    // so steady-state `&[f64]` p2p does no per-message heap allocation;
+    // the wire is the unframed POD layout, so both sides must agree on
+    // the element count). Each family has a blocking and a posted send
+    // and receive, and every call takes one [`Target`].
+    //
+    // A posted send deposits the envelope at once (buffered semantics:
+    // the message is matchable immediately) but charges nothing to the
+    // caller — link-retry backoff and NIC serialization accrue to the
+    // returned [`SendRequest`] and land on the clock at `wait`. A posted
+    // receive records matching criteria; the receive happens at `wait`,
+    // advancing the clock only to `max(clock, arrival)`. Both give MPI's
+    // overlap payoff in virtual time while keeping every timestamp a pure
+    // function of virtual state, so thread-count invariance holds; fault
+    // paths surface at completion as `NodeFailed`/`LinkDown`/`Timeout`.
+    // A blocking call is the same post completed at once, with the
+    // blocking span labels (see [`Spans`]).
 
-    /// Blocking standard send of `value` to `dst` in `comm` with `tag`.
-    /// Buffered semantics: completes locally after injection.
-    pub fn send_comm<T: MpiDatatype>(
+    /// Blocking standard send of `value` to `to` with `tag`. Buffered
+    /// semantics: completes locally after injection.
+    pub fn send<'a, T: MpiDatatype>(
         &mut self,
-        comm: &Communicator,
-        dst: usize,
+        to: impl Into<Target<'a>>,
         tag: Tag,
         value: &T,
     ) -> Result<(), PsmpiError> {
-        if dst >= comm.size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: comm.size(),
-            });
-        }
-        let src_rank = self.comm_rank(comm)?;
-        let dst_ep = comm.group.endpoints[dst];
-        let wire = value.to_wire(self.router.buffer_pool());
-        self.send_raw(comm.id, dst_ep, src_rank, tag, wire, None)
+        let req = self.isend(to, tag, value)?;
+        self.complete_send(req.outcome, Spans::Blocking)
     }
 
-    /// Like [`Rank::send_comm`] but charging `virtual_bytes` on the wire
-    /// instead of the encoded payload size (model-scale exchanges over
-    /// reduced-scale data).
-    pub fn send_comm_sized<T: MpiDatatype>(
+    /// Posted send of `value`; complete with [`MpiRequest::wait`].
+    pub fn isend<'a, T: MpiDatatype>(
         &mut self,
-        comm: &Communicator,
-        dst: usize,
+        to: impl Into<Target<'a>>,
         tag: Tag,
         value: &T,
-        virtual_bytes: usize,
-    ) -> Result<(), PsmpiError> {
-        if dst >= comm.size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: comm.size(),
-            });
-        }
-        let src_rank = self.comm_rank(comm)?;
-        let dst_ep = comm.group.endpoints[dst];
-        let wire = value.to_wire(self.router.buffer_pool());
-        self.send_raw(comm.id, dst_ep, src_rank, tag, wire, Some(virtual_bytes))
+    ) -> Result<SendRequest, PsmpiError> {
+        self.post_send(to.into(), tag, |pool| value.to_wire(pool).into())
     }
 
-    /// Blocking receive from `src` (or any source) with `tag` (or any tag)
-    /// on `comm`.
-    pub fn recv_comm<T: MpiDatatype>(
+    /// Blocking receive of a `T` from `from` (or any source) with `tag`
+    /// (or any tag).
+    pub fn recv<'a, T: MpiDatatype>(
         &mut self,
-        comm: &Communicator,
-        src: Option<usize>,
+        from: impl Into<Target<'a, Option<usize>>>,
         tag: Option<Tag>,
     ) -> Result<(T, Status), PsmpiError> {
-        if let Some(s) = src {
-            if s >= comm.size() {
-                return Err(PsmpiError::InvalidRank {
-                    rank: s,
-                    size: comm.size(),
-                });
-            }
-        }
-        let src_ep = src.map(|s| comm.group.endpoints[s]);
-        let (bytes, st) = self.recv_raw(comm.id, src, tag, src_ep)?;
-        let value = T::from_bytes(bytes.clone())?;
-        // Return the payload allocation to the pool — a no-op whenever the
-        // decode (e.g. `Raw`) or another rank still holds a reference.
-        self.router.buffer_pool().recycle(bytes);
-        Ok((value, st))
+        self.irecv(from, tag)?.complete(self, Spans::Blocking)
     }
 
-    /// Nonblocking send on `comm` (buffered: deposited immediately, the
-    /// sender-side charge deferred to the request).
-    pub fn isend_comm<T: MpiDatatype>(
+    /// Posted receive of a `T`; complete with [`MpiRequest::wait`].
+    pub fn irecv<'a, T: MpiDatatype>(
         &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        value: &T,
-    ) -> Result<Request, PsmpiError> {
-        if dst >= comm.size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: comm.size(),
-            });
-        }
-        let src_rank = self.comm_rank(comm)?;
-        let dst_ep = comm.group.endpoints[dst];
-        let wire = value.to_wire(self.router.buffer_pool());
-        let outcome = self.isend_raw(comm.id, dst_ep, src_rank, tag, wire, None);
-        Ok(Request {
-            kind: RequestKind::Send(outcome),
+        from: impl Into<Target<'a, Option<usize>>>,
+        tag: Option<Tag>,
+    ) -> Result<TypedRecvRequest<T>, PsmpiError> {
+        Ok(TypedRecvRequest {
+            inner: self.irecv_bytes(from, tag)?,
             _t: PhantomData,
         })
     }
 
-    /// Nonblocking receive on `comm`; complete with [`Request::wait`].
-    pub fn irecv_comm<T: MpiDatatype>(
+    /// Blocking zero-copy send of a raw payload (optionally charged at a
+    /// modelled wire size, see [`Payload::sized`]).
+    pub fn send_bytes<'a>(
         &mut self,
-        comm: &Communicator,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> Request<T> {
-        Request {
-            kind: RequestKind::Recv {
-                comm: comm.id,
-                src,
-                tag,
-                src_ep: src.and_then(|s| comm.group.endpoints.get(s).copied()),
-            },
-            _t: PhantomData,
-        }
-    }
-
-    // ---- point-to-point on the world (convenience) ----
-
-    /// [`Rank::send_comm`] on the world communicator.
-    pub fn send<T: MpiDatatype>(
-        &mut self,
-        dst: usize,
+        to: impl Into<Target<'a>>,
         tag: Tag,
-        value: &T,
+        payload: impl Into<Payload>,
     ) -> Result<(), PsmpiError> {
-        let w = self.world.clone();
-        self.send_comm(&w, dst, tag, value)
+        let req = self.isend_bytes(to, tag, payload)?;
+        self.complete_send(req.outcome, Spans::Blocking)
     }
 
-    /// [`Rank::recv_comm`] on the world communicator.
-    pub fn recv<T: MpiDatatype>(
+    /// Posted zero-copy send; complete with [`MpiRequest::wait`].
+    pub fn isend_bytes<'a>(
         &mut self,
-        src: Option<usize>,
+        to: impl Into<Target<'a>>,
+        tag: Tag,
+        payload: impl Into<Payload>,
+    ) -> Result<SendRequest, PsmpiError> {
+        let payload = payload.into();
+        self.post_send(to.into(), tag, |_| payload)
+    }
+
+    /// Blocking zero-copy receive: the returned [`Bytes`] is the sender's
+    /// buffer (shared allocation), not a copy.
+    pub fn recv_bytes<'a>(
+        &mut self,
+        from: impl Into<Target<'a, Option<usize>>>,
         tag: Option<Tag>,
-    ) -> Result<(T, Status), PsmpiError> {
-        let w = self.world.clone();
-        self.recv_comm(&w, src, tag)
+    ) -> Result<(Bytes, Status), PsmpiError> {
+        self.irecv_bytes(from, tag)?.complete(self, Spans::Blocking)
     }
 
-    /// [`Rank::isend_comm`] on the world communicator.
-    pub fn isend<T: MpiDatatype>(
+    /// Posted zero-copy receive; complete with [`MpiRequest::wait`].
+    /// Posting is free in virtual time — the win comes from computing
+    /// between post and wait.
+    pub fn irecv_bytes<'a>(
         &mut self,
-        dst: usize,
-        tag: Tag,
-        value: &T,
-    ) -> Result<Request, PsmpiError> {
-        let w = self.world.clone();
-        self.isend_comm(&w, dst, tag, value)
-    }
-
-    /// [`Rank::irecv_comm`] on the world communicator.
-    pub fn irecv<T: MpiDatatype>(&mut self, src: Option<usize>, tag: Option<Tag>) -> Request<T> {
-        let w = self.world.clone();
-        self.irecv_comm(&w, src, tag)
-    }
-
-    // ---- point-to-point on an inter-communicator ----
-
-    /// Send to rank `dst` *of the remote group* (MPI inter-communicator
-    /// addressing, used for Cluster↔Booster exchange after spawn).
-    pub fn send_inter<T: MpiDatatype>(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        value: &T,
-    ) -> Result<(), PsmpiError> {
-        if dst >= ic.remote_size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: ic.remote_size(),
-            });
-        }
-        let src_rank = self.inter_local_rank(ic)?;
-        let dst_ep = ic.remote.endpoints[dst];
-        let wire = value.to_wire(self.router.buffer_pool());
-        self.send_raw(ic.id, dst_ep, src_rank, tag, wire, None)
-    }
-
-    /// Like [`Rank::send_inter`] but charging `virtual_bytes` on the wire.
-    pub fn send_inter_sized<T: MpiDatatype>(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        value: &T,
-        virtual_bytes: usize,
-    ) -> Result<(), PsmpiError> {
-        if dst >= ic.remote_size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: ic.remote_size(),
-            });
-        }
-        let src_rank = self.inter_local_rank(ic)?;
-        let dst_ep = ic.remote.endpoints[dst];
-        let wire = value.to_wire(self.router.buffer_pool());
-        self.send_raw(ic.id, dst_ep, src_rank, tag, wire, Some(virtual_bytes))
-    }
-
-    /// Receive from rank `src` of the remote group (or any).
-    pub fn recv_inter<T: MpiDatatype>(
-        &mut self,
-        ic: &Intercomm,
-        src: Option<usize>,
+        from: impl Into<Target<'a, Option<usize>>>,
         tag: Option<Tag>,
-    ) -> Result<(T, Status), PsmpiError> {
-        let src_ep = src.and_then(|s| ic.remote.endpoints.get(s).copied());
-        let (bytes, st) = self.recv_raw(ic.id, src, tag, src_ep)?;
-        let value = T::from_bytes(bytes.clone())?;
-        self.router.buffer_pool().recycle(bytes);
-        Ok((value, st))
-    }
-
-    /// Nonblocking inter-communicator send (buffered; the `MPI_Issend` of
-    /// the paper's Listing 4 modulo synchronous-mode pedantry). The
-    /// sender-side charge is deferred to the request.
-    pub fn isend_inter<T: MpiDatatype>(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        value: &T,
-    ) -> Result<Request, PsmpiError> {
-        if dst >= ic.remote_size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: ic.remote_size(),
-            });
-        }
-        let src_rank = self.inter_local_rank(ic)?;
-        let dst_ep = ic.remote.endpoints[dst];
-        let wire = value.to_wire(self.router.buffer_pool());
-        let outcome = self.isend_raw(ic.id, dst_ep, src_rank, tag, wire, None);
-        Ok(Request {
-            kind: RequestKind::Send(outcome),
-            _t: PhantomData,
+    ) -> Result<RecvRequest, PsmpiError> {
+        let from = from.into();
+        let (comm, group) = self.route(from.on);
+        let src_ep = from.rank.map(|s| peer_endpoint(group, s)).transpose()?;
+        Ok(RecvRequest {
+            comm,
+            src: from.rank,
+            tag,
+            src_ep,
         })
     }
 
-    /// Nonblocking inter-communicator receive (the `MPI_Irecv` of
-    /// Listing 4); complete with [`Request::wait`].
-    pub fn irecv_inter<T: MpiDatatype>(
+    /// Blocking send of a POD slice, bulk-encoded into a pooled buffer
+    /// (no intermediate `Vec`).
+    pub fn send_slice<'a, T: FixedWidth>(
         &mut self,
-        ic: &Intercomm,
-        src: Option<usize>,
+        to: impl Into<Target<'a>>,
+        tag: Tag,
+        data: &[T],
+    ) -> Result<(), PsmpiError> {
+        let req = self.isend_slice(to, tag, data)?;
+        self.complete_send(req.outcome, Spans::Blocking)
+    }
+
+    /// Posted POD-slice send; complete with [`MpiRequest::wait`].
+    pub fn isend_slice<'a, T: FixedWidth>(
+        &mut self,
+        to: impl Into<Target<'a>>,
+        tag: Tag,
+        data: &[T],
+    ) -> Result<SendRequest, PsmpiError> {
+        self.post_send(to.into(), tag, |pool| {
+            pod_to_bytes_pooled(pool, data).into()
+        })
+    }
+
+    /// Blocking in-place receive: decodes the payload directly into `out`
+    /// (whose length must match the message's element count exactly) and
+    /// recycles the wire buffer. No allocation on the steady-state path.
+    pub fn recv_into<'a, T: FixedWidth>(
+        &mut self,
+        from: impl Into<Target<'a, Option<usize>>>,
         tag: Option<Tag>,
-    ) -> Request<T> {
-        Request {
-            kind: RequestKind::Recv {
-                comm: ic.id,
-                src,
-                tag,
-                src_ep: src.and_then(|s| ic.remote.endpoints.get(s).copied()),
-            },
-            _t: PhantomData,
-        }
+        out: &mut [T],
+    ) -> Result<Status, PsmpiError> {
+        self.irecv_into(from, tag, out)?
+            .complete(self, Spans::Blocking)
+    }
+
+    /// Posted in-place receive: `out` is borrowed until the request is
+    /// waited and filled at completion.
+    pub fn irecv_into<'a, 'o, T: FixedWidth>(
+        &mut self,
+        from: impl Into<Target<'a, Option<usize>>>,
+        tag: Option<Tag>,
+        out: &'o mut [T],
+    ) -> Result<RecvIntoRequest<'o, T>, PsmpiError> {
+        Ok(RecvIntoRequest {
+            inner: self.irecv_bytes(from, tag)?,
+            out,
+        })
     }
 
     // ---- probes ----
@@ -891,572 +888,11 @@ impl Rank {
         }
     }
 
-    // ---- zero-copy point-to-point (raw Bytes payloads) ----
-    //
-    // These move an already-encoded buffer without any serialization step:
-    // the `Bytes` handle is refcount-cloned into the envelope, travels
-    // through the matching engine, and `recv_bytes_*` hands back the very
-    // same allocation. Combined with the self-send bypass and the
-    // forwarding collectives this makes large exchanges single-allocation
-    // end to end. Virtual-time accounting is identical to the typed API.
-
-    /// Zero-copy send of `payload` to `dst` in `comm` with `tag`.
-    pub fn send_bytes_comm(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-    ) -> Result<(), PsmpiError> {
-        self.send_bytes_comm_opt(comm, dst, tag, payload, None)
-    }
-
-    /// Like [`Rank::send_bytes_comm`] but charging `virtual_bytes` on the
-    /// wire (model-scale exchanges over reduced-scale data).
-    pub fn send_bytes_comm_sized(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        virtual_bytes: usize,
-    ) -> Result<(), PsmpiError> {
-        self.send_bytes_comm_opt(comm, dst, tag, payload, Some(virtual_bytes))
-    }
-
-    fn send_bytes_comm_opt(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        virtual_size: Option<usize>,
-    ) -> Result<(), PsmpiError> {
-        if dst >= comm.size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: comm.size(),
-            });
-        }
-        let src_rank = self.comm_rank(comm)?;
-        let dst_ep = comm.group.endpoints[dst];
-        self.send_raw(comm.id, dst_ep, src_rank, tag, payload, virtual_size)
-    }
-
-    /// Zero-copy receive on `comm`: the returned [`Bytes`] is the sender's
-    /// buffer (shared allocation), not a copy.
-    pub fn recv_bytes_comm(
-        &mut self,
-        comm: &Communicator,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> Result<(Bytes, Status), PsmpiError> {
-        if let Some(s) = src {
-            if s >= comm.size() {
-                return Err(PsmpiError::InvalidRank {
-                    rank: s,
-                    size: comm.size(),
-                });
-            }
-        }
-        let src_ep = src.map(|s| comm.group.endpoints[s]);
-        self.recv_raw(comm.id, src, tag, src_ep)
-    }
-
-    /// Zero-copy inter-communicator send to rank `dst` of the remote group.
-    pub fn send_bytes_inter(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-    ) -> Result<(), PsmpiError> {
-        self.send_bytes_inter_opt(ic, dst, tag, payload, None)
-    }
-
-    /// Like [`Rank::send_bytes_inter`] but charging `virtual_bytes` on the
-    /// wire.
-    pub fn send_bytes_inter_sized(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        virtual_bytes: usize,
-    ) -> Result<(), PsmpiError> {
-        self.send_bytes_inter_opt(ic, dst, tag, payload, Some(virtual_bytes))
-    }
-
-    fn send_bytes_inter_opt(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        virtual_size: Option<usize>,
-    ) -> Result<(), PsmpiError> {
-        if dst >= ic.remote_size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: ic.remote_size(),
-            });
-        }
-        let src_rank = self.inter_local_rank(ic)?;
-        let dst_ep = ic.remote.endpoints[dst];
-        self.send_raw(ic.id, dst_ep, src_rank, tag, payload, virtual_size)
-    }
-
-    /// Zero-copy inter-communicator receive.
-    pub fn recv_bytes_inter(
-        &mut self,
-        ic: &Intercomm,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> Result<(Bytes, Status), PsmpiError> {
-        let src_ep = src.and_then(|s| ic.remote.endpoints.get(s).copied());
-        self.recv_raw(ic.id, src, tag, src_ep)
-    }
-
-    // ---- in-place typed point-to-point (POD slices) ----
-    //
-    // The framed `MpiDatatype` codec allocates a fresh `Vec` on every
-    // decode and carries a length header; these calls instead bulk-encode
-    // a POD slice straight into a pooled buffer on send
-    // (`pod_to_bytes_pooled`) and decode into a caller-owned slice on
-    // receive (`read_pod_into_exact`), so steady-state `&[f64]` p2p does
-    // no per-message heap allocation. The wire format is the unframed POD
-    // layout of `pod_to_bytes` (the xpic wire convention): the element
-    // count is implied by the byte length, so both sides must agree on it.
-
-    /// Typed send of a POD slice to `dst` in `comm`: bulk-encoded into a
-    /// pooled buffer, no intermediate `Vec`.
-    pub fn send_slice_comm<T: FixedWidth>(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-    ) -> Result<(), PsmpiError> {
-        self.send_slice_comm_opt(comm, dst, tag, data, None)
-    }
-
-    /// Like [`Rank::send_slice_comm`] but charging `virtual_bytes` on the
-    /// wire (model-scale exchanges over reduced-scale data).
-    pub fn send_slice_comm_sized<T: FixedWidth>(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-        virtual_bytes: usize,
-    ) -> Result<(), PsmpiError> {
-        self.send_slice_comm_opt(comm, dst, tag, data, Some(virtual_bytes))
-    }
-
-    fn send_slice_comm_opt<T: FixedWidth>(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-        virtual_size: Option<usize>,
-    ) -> Result<(), PsmpiError> {
-        if dst >= comm.size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: comm.size(),
-            });
-        }
-        let src_rank = self.comm_rank(comm)?;
-        let dst_ep = comm.group.endpoints[dst];
-        let wire = pod_to_bytes_pooled(self.router.buffer_pool(), data);
-        self.send_raw(comm.id, dst_ep, src_rank, tag, wire, virtual_size)
-    }
-
-    /// [`Rank::send_slice_comm`] on the world communicator.
-    pub fn send_slice<T: FixedWidth>(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-    ) -> Result<(), PsmpiError> {
-        let w = self.world.clone();
-        self.send_slice_comm(&w, dst, tag, data)
-    }
-
-    /// Typed slice send to rank `dst` of an inter-communicator's remote
-    /// group (see [`Rank::send_slice_comm`]).
-    pub fn send_slice_inter<T: FixedWidth>(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-    ) -> Result<(), PsmpiError> {
-        self.send_slice_inter_opt(ic, dst, tag, data, None)
-    }
-
-    /// Like [`Rank::send_slice_inter`] but charging `virtual_bytes` on the
-    /// wire.
-    pub fn send_slice_inter_sized<T: FixedWidth>(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-        virtual_bytes: usize,
-    ) -> Result<(), PsmpiError> {
-        self.send_slice_inter_opt(ic, dst, tag, data, Some(virtual_bytes))
-    }
-
-    fn send_slice_inter_opt<T: FixedWidth>(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-        virtual_size: Option<usize>,
-    ) -> Result<(), PsmpiError> {
-        if dst >= ic.remote_size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: ic.remote_size(),
-            });
-        }
-        let src_rank = self.inter_local_rank(ic)?;
-        let dst_ep = ic.remote.endpoints[dst];
-        let wire = pod_to_bytes_pooled(self.router.buffer_pool(), data);
-        self.send_raw(ic.id, dst_ep, src_rank, tag, wire, virtual_size)
-    }
-
-    /// Typed in-place receive on `comm`: decodes the payload directly into
-    /// `out` (whose length must match the message's element count exactly)
-    /// and recycles the wire buffer. No allocation on the steady-state
-    /// path.
-    pub fn recv_into_comm<T: FixedWidth>(
-        &mut self,
-        comm: &Communicator,
-        src: Option<usize>,
-        tag: Option<Tag>,
-        out: &mut [T],
-    ) -> Result<Status, PsmpiError> {
-        if let Some(s) = src {
-            if s >= comm.size() {
-                return Err(PsmpiError::InvalidRank {
-                    rank: s,
-                    size: comm.size(),
-                });
-            }
-        }
-        let src_ep = src.map(|s| comm.group.endpoints[s]);
-        let (bytes, st) = self.recv_raw(comm.id, src, tag, src_ep)?;
-        read_pod_into_exact(&bytes, out)?;
-        self.router.buffer_pool().recycle(bytes);
-        Ok(st)
-    }
-
-    /// [`Rank::recv_into_comm`] on the world communicator.
-    pub fn recv_into<T: FixedWidth>(
-        &mut self,
-        src: Option<usize>,
-        tag: Option<Tag>,
-        out: &mut [T],
-    ) -> Result<Status, PsmpiError> {
-        let w = self.world.clone();
-        self.recv_into_comm(&w, src, tag, out)
-    }
-
-    /// Typed in-place receive from an inter-communicator's remote group.
-    pub fn recv_into_inter<T: FixedWidth>(
-        &mut self,
-        ic: &Intercomm,
-        src: Option<usize>,
-        tag: Option<Tag>,
-        out: &mut [T],
-    ) -> Result<Status, PsmpiError> {
-        let src_ep = src.and_then(|s| ic.remote.endpoints.get(s).copied());
-        let (bytes, st) = self.recv_raw(ic.id, src, tag, src_ep)?;
-        read_pod_into_exact(&bytes, out)?;
-        self.router.buffer_pool().recycle(bytes);
-        Ok(st)
-    }
-
-    // ---- nonblocking request engine ----
-    //
-    // `isend_*` deposits the envelope at post time (buffered semantics:
-    // the message is matchable immediately, stamped exactly as a blocking
-    // send issued at the same clock) but charges nothing to the caller —
-    // NIC serialization and link-retry backoff accrue to the returned
-    // [`SendRequest`] and land on the clock at `wait`. `irecv_*` records
-    // matching criteria; the receive happens at `wait`, advancing the
-    // clock only to `max(clock, arrival)`. Both give MPI's overlap payoff
-    // in virtual time while keeping every timestamp a pure function of
-    // virtual state, so thread-count invariance holds; the PR-5 fault
-    // paths surface at wait time as `NodeFailed`/`LinkDown`/`Timeout`.
-
-    /// Nonblocking zero-copy send on `comm`; complete with
-    /// [`MpiRequest::wait`].
-    pub fn isend_bytes_comm(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-    ) -> Result<SendRequest, PsmpiError> {
-        self.isend_bytes_comm_opt(comm, dst, tag, payload, None)
-    }
-
-    /// Like [`Rank::isend_bytes_comm`] but charging `virtual_bytes` on
-    /// the wire.
-    pub fn isend_bytes_comm_sized(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        virtual_bytes: usize,
-    ) -> Result<SendRequest, PsmpiError> {
-        self.isend_bytes_comm_opt(comm, dst, tag, payload, Some(virtual_bytes))
-    }
-
-    fn isend_bytes_comm_opt(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        virtual_size: Option<usize>,
-    ) -> Result<SendRequest, PsmpiError> {
-        if dst >= comm.size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: comm.size(),
-            });
-        }
-        let src_rank = self.comm_rank(comm)?;
-        let dst_ep = comm.group.endpoints[dst];
-        Ok(SendRequest {
-            outcome: self.isend_raw(comm.id, dst_ep, src_rank, tag, payload, virtual_size),
-        })
-    }
-
-    /// [`Rank::isend_bytes_comm`] on the world communicator.
-    pub fn isend_bytes(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-    ) -> Result<SendRequest, PsmpiError> {
-        let w = self.world.clone();
-        self.isend_bytes_comm(&w, dst, tag, payload)
-    }
-
-    /// Nonblocking zero-copy send to rank `dst` of an inter-communicator's
-    /// remote group.
-    pub fn isend_bytes_inter(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-    ) -> Result<SendRequest, PsmpiError> {
-        self.isend_bytes_inter_opt(ic, dst, tag, payload, None)
-    }
-
-    /// Like [`Rank::isend_bytes_inter`] but charging `virtual_bytes` on
-    /// the wire.
-    pub fn isend_bytes_inter_sized(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        virtual_bytes: usize,
-    ) -> Result<SendRequest, PsmpiError> {
-        self.isend_bytes_inter_opt(ic, dst, tag, payload, Some(virtual_bytes))
-    }
-
-    fn isend_bytes_inter_opt(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        virtual_size: Option<usize>,
-    ) -> Result<SendRequest, PsmpiError> {
-        if dst >= ic.remote_size() {
-            return Err(PsmpiError::InvalidRank {
-                rank: dst,
-                size: ic.remote_size(),
-            });
-        }
-        let src_rank = self.inter_local_rank(ic)?;
-        let dst_ep = ic.remote.endpoints[dst];
-        Ok(SendRequest {
-            outcome: self.isend_raw(ic.id, dst_ep, src_rank, tag, payload, virtual_size),
-        })
-    }
-
-    /// Nonblocking typed POD-slice send on `comm` (the `isend` face of
-    /// [`Rank::send_slice_comm`]).
-    pub fn isend_slice_comm<T: FixedWidth>(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-    ) -> Result<SendRequest, PsmpiError> {
-        let wire = pod_to_bytes_pooled(self.router.buffer_pool(), data);
-        self.isend_bytes_comm_opt(comm, dst, tag, wire, None)
-    }
-
-    /// Like [`Rank::isend_slice_comm`] but charging `virtual_bytes` on
-    /// the wire.
-    pub fn isend_slice_comm_sized<T: FixedWidth>(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-        virtual_bytes: usize,
-    ) -> Result<SendRequest, PsmpiError> {
-        let wire = pod_to_bytes_pooled(self.router.buffer_pool(), data);
-        self.isend_bytes_comm_opt(comm, dst, tag, wire, Some(virtual_bytes))
-    }
-
-    /// [`Rank::isend_slice_comm`] on the world communicator.
-    pub fn isend_slice<T: FixedWidth>(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-    ) -> Result<SendRequest, PsmpiError> {
-        let w = self.world.clone();
-        self.isend_slice_comm(&w, dst, tag, data)
-    }
-
-    /// Nonblocking typed POD-slice send to the remote group of an
-    /// inter-communicator.
-    pub fn isend_slice_inter<T: FixedWidth>(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-    ) -> Result<SendRequest, PsmpiError> {
-        let wire = pod_to_bytes_pooled(self.router.buffer_pool(), data);
-        self.isend_bytes_inter_opt(ic, dst, tag, wire, None)
-    }
-
-    /// Like [`Rank::isend_slice_inter`] but charging `virtual_bytes` on
-    /// the wire.
-    pub fn isend_slice_inter_sized<T: FixedWidth>(
-        &mut self,
-        ic: &Intercomm,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-        virtual_bytes: usize,
-    ) -> Result<SendRequest, PsmpiError> {
-        let wire = pod_to_bytes_pooled(self.router.buffer_pool(), data);
-        self.isend_bytes_inter_opt(ic, dst, tag, wire, Some(virtual_bytes))
-    }
-
-    /// Post a nonblocking zero-copy receive on `comm`; complete with
-    /// [`MpiRequest::wait`]. Posting is free in virtual time — the win
-    /// comes from computing between post and wait.
-    pub fn irecv_bytes_comm(
-        &mut self,
-        comm: &Communicator,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> Result<RecvRequest, PsmpiError> {
-        if let Some(s) = src {
-            if s >= comm.size() {
-                return Err(PsmpiError::InvalidRank {
-                    rank: s,
-                    size: comm.size(),
-                });
-            }
-        }
-        Ok(RecvRequest {
-            comm: comm.id,
-            src,
-            tag,
-            src_ep: src.map(|s| comm.group.endpoints[s]),
-        })
-    }
-
-    /// [`Rank::irecv_bytes_comm`] on the world communicator.
-    pub fn irecv_bytes(
-        &mut self,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> Result<RecvRequest, PsmpiError> {
-        let w = self.world.clone();
-        self.irecv_bytes_comm(&w, src, tag)
-    }
-
-    /// Post a nonblocking zero-copy receive from the remote group of an
-    /// inter-communicator.
-    pub fn irecv_bytes_inter(
-        &mut self,
-        ic: &Intercomm,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> Result<RecvRequest, PsmpiError> {
-        Ok(RecvRequest {
-            comm: ic.id,
-            src,
-            tag,
-            src_ep: src.and_then(|s| ic.remote.endpoints.get(s).copied()),
-        })
-    }
-
-    /// Post a nonblocking in-place typed receive on `comm`: `out` is
-    /// borrowed until the request is waited and filled at completion (its
-    /// length must match the message's element count exactly).
-    pub fn irecv_into_comm<'a, T: FixedWidth>(
-        &mut self,
-        comm: &Communicator,
-        src: Option<usize>,
-        tag: Option<Tag>,
-        out: &'a mut [T],
-    ) -> Result<RecvIntoRequest<'a, T>, PsmpiError> {
-        Ok(RecvIntoRequest {
-            inner: self.irecv_bytes_comm(comm, src, tag)?,
-            out,
-        })
-    }
-
-    /// [`Rank::irecv_into_comm`] on the world communicator.
-    pub fn irecv_into<'a, T: FixedWidth>(
-        &mut self,
-        src: Option<usize>,
-        tag: Option<Tag>,
-        out: &'a mut [T],
-    ) -> Result<RecvIntoRequest<'a, T>, PsmpiError> {
-        let w = self.world.clone();
-        self.irecv_into_comm(&w, src, tag, out)
-    }
-
-    /// Post a nonblocking in-place typed receive from the remote group of
-    /// an inter-communicator.
-    pub fn irecv_into_inter<'a, T: FixedWidth>(
-        &mut self,
-        ic: &Intercomm,
-        src: Option<usize>,
-        tag: Option<Tag>,
-        out: &'a mut [T],
-    ) -> Result<RecvIntoRequest<'a, T>, PsmpiError> {
-        Ok(RecvIntoRequest {
-            inner: self.irecv_bytes_inter(ic, src, tag)?,
-            out,
-        })
-    }
-
     /// Post a one-sided RDMA put of `data` into `region` on the fabric's
     /// NAM device `nam_index`, at byte `offset` within the region.
+    /// `wire_size`, when given, is the size charged on the wire instead
+    /// of `data.len()`: e.g. a delta checkpoint frame serializes only the
+    /// frame bytes while the region holds the reconstructed blob.
     ///
     /// The storage effect is immediate — the NAM has no active remote
     /// component (paper §II-B), so nothing on the far side has to
@@ -1464,7 +900,7 @@ impl Rank {
     /// injection, the slower of the wire and HMC streams, the FPGA
     /// pipeline latency; see [`simnet::Fabric::nam_rdma_time`]) accrues
     /// to the returned request and lands on the poster's clock at
-    /// [`MpiRequest::wait`], exactly like `isend_bytes_*`: compute done
+    /// [`MpiRequest::wait`], exactly like a posted send: compute done
     /// between post and wait hides the transfer in virtual time.
     ///
     /// The device has no host node, so no node-death clearance applies;
@@ -1476,20 +912,7 @@ impl Rank {
         region: simnet::nam::NamRegion,
         offset: u64,
         data: &[u8],
-    ) -> Result<SendRequest, PsmpiError> {
-        self.inam_put_sized(nam_index, region, offset, data, None)
-    }
-
-    /// [`Rank::inam_put`] with an explicit modelled wire size (the
-    /// `_sized` idiom): e.g. a delta checkpoint frame serializes only
-    /// the frame bytes while the region holds the reconstructed blob.
-    pub fn inam_put_sized(
-        &mut self,
-        nam_index: usize,
-        region: simnet::nam::NamRegion,
-        offset: u64,
-        data: &[u8],
-        virtual_size: Option<usize>,
+        wire_size: Option<usize>,
     ) -> Result<SendRequest, PsmpiError> {
         let post = self.clock;
         let fabric = self.router.fabric().clone();
@@ -1499,7 +922,7 @@ impl Rank {
             .ok_or(PsmpiError::Nam(simnet::nam::NamError::StaleRegion))?
             .clone();
         nam.put(region, offset, data).map_err(PsmpiError::Nam)?;
-        let size = virtual_size.unwrap_or(data.len());
+        let size = wire_size.unwrap_or(data.len());
         let completion = fabric
             .nam_rdma_time(self.node_id, nam_index, size)
             .map(|t| post + t)
@@ -1542,48 +965,52 @@ impl Rank {
         Ok(out)
     }
 
-    /// Apply a posted send's deferred charge: advance the clock to the
-    /// completion timestamp (never backwards) and surface any deferred
-    /// fault. The advance, if any, is recorded as a request-scoped `Wait`
-    /// span.
-    fn complete_send(&mut self, outcome: SendOutcome) -> Result<(), PsmpiError> {
-        let pre = self.clock;
-        let (upto, res) = match outcome {
-            SendOutcome::Done { completion } => (completion, Ok(())),
-            SendOutcome::Failed { err, at } => (at, Err(err)),
-        };
-        self.clock = self.clock.max(upto);
-        self.comm_time += self.clock - pre;
-        if let Some(track) = &self.obs {
-            if self.clock > pre {
-                track.span(obs::Category::Wait, "wait-send", pre, self.clock);
-            }
+    // ---- request engine ----
+
+    /// The context id a target's communicator matches on, and the group
+    /// its rank indexes: the remote group for an inter-communicator. The
+    /// world is read in place, never cloned.
+    fn route<'s>(&'s self, on: On<'s>) -> (CommId, &'s Group) {
+        match on {
+            On::World => (self.world.id, &self.world.group),
+            On::Comm(c) => (c.id, &c.group),
+            On::Inter(ic) => (ic.id, &ic.remote),
         }
-        res
     }
 
-    /// Post-time half of a nonblocking send: resolve routing, run the
-    /// fault clearance from the current clock *without* applying it,
-    /// deposit the envelope (stamped exactly as the blocking path would
-    /// stamp it), and hand back the deferred charge.
-    fn isend_raw(
+    /// Post half of every send: resolve the target, encode the payload
+    /// once the target has checked out, run the fault clearance from the
+    /// current clock *without* applying it, deposit the envelope (stamped
+    /// at the clearance time) and hand back the deferred charge.
+    fn post_send(
         &mut self,
-        comm: CommId,
-        dst_ep: EndpointId,
-        src_rank: usize,
+        to: Target<'_>,
         tag: Tag,
-        payload: Bytes,
-        virtual_size: Option<usize>,
-    ) -> SendOutcome {
+        encode: impl FnOnce(&BufferPool) -> Payload,
+    ) -> Result<SendRequest, PsmpiError> {
+        let (comm, group) = self.route(to.on);
+        let dst_ep = peer_endpoint(group, to.rank)?;
+        let src_rank = match to.on {
+            On::World => self.my_rank,
+            On::Comm(c) => self.comm_rank(c)?,
+            On::Inter(ic) => self.inter_local_rank(ic)?,
+        };
+        let Payload { bytes, wire_size } = encode(self.router.buffer_pool());
         let post = self.clock;
+        let failed = |err, at| SendRequest {
+            outcome: SendOutcome::Failed { err, at },
+        };
+        // Resolve the destination's routing record once, from this rank's
+        // private cache; a self-send goes straight into our own mailbox
+        // and never meets the fabric or its faults.
         let dst_entry = if dst_ep == self.endpoint {
             None
         } else {
             match self.entry_of(dst_ep) {
                 Ok(e) => Some(e),
                 Err(e) => {
-                    self.router.buffer_pool().recycle(payload);
-                    return SendOutcome::Failed { err: e, at: post };
+                    self.router.buffer_pool().recycle(bytes);
+                    return Ok(failed(e, post));
                 }
             }
         };
@@ -1592,22 +1019,24 @@ impl Rank {
             Some(entry) => {
                 let (t, err) = self.destination_clearance(entry.node(), post);
                 if let Some(err) = err {
-                    self.router.buffer_pool().recycle(payload);
-                    return SendOutcome::Failed { err, at: t };
+                    // The encode buffer never reached an envelope; reclaim
+                    // it (a no-op if anyone else still holds a reference).
+                    self.router.buffer_pool().recycle(bytes);
+                    return Ok(failed(err, t));
                 }
                 t
             }
         };
-        let size = virtual_size.unwrap_or(payload.len());
+        let size = wire_size.unwrap_or(bytes.len());
         let env = Envelope {
             comm,
             src_rank,
             tag,
-            payload,
+            payload: bytes,
             send_stamp: cleared,
             src_endpoint: self.endpoint,
             seq: self.seq,
-            virtual_size,
+            virtual_size: wire_size,
         };
         self.seq += 1;
         self.bytes_sent += size as u64;
@@ -1620,99 +1049,50 @@ impl Rank {
             None => self.mailbox.push(env),
             Some(entry) => entry.mailbox().push(env),
         }
-        SendOutcome::Done {
-            completion: cleared + self.node.nic_send_overhead,
-        }
+        Ok(SendRequest {
+            outcome: SendOutcome::Done {
+                completion: cleared + self.node.nic_send_overhead,
+            },
+        })
     }
 
-    // ---- raw internals ----
-
-    fn send_raw(
-        &mut self,
-        comm: CommId,
-        dst_ep: EndpointId,
-        src_rank: usize,
-        tag: Tag,
-        payload: Bytes,
-        virtual_size: Option<usize>,
-    ) -> Result<(), PsmpiError> {
+    /// Apply a posted send's deferred charge: advance the clock to the
+    /// completion timestamp (never backwards) and surface any deferred
+    /// fault, stamping the span `spans` asks for.
+    fn complete_send(&mut self, outcome: SendOutcome, spans: Spans) -> Result<(), PsmpiError> {
         let pre = self.clock;
-        // Resolve the destination's routing record once, from this rank's
-        // private cache — the only shared lookup a steady-state send makes
-        // is the first-contact shard read.
-        let dst_entry = if dst_ep == self.endpoint {
-            None
-        } else {
-            let entry = match self.entry_of(dst_ep) {
-                Ok(e) => e,
-                Err(e) => {
-                    self.router.buffer_pool().recycle(payload);
-                    return Err(e);
-                }
-            };
-            if let Err(e) = self.check_destination(entry.node()) {
-                // The encode buffer never reached an envelope; reclaim it
-                // (a no-op if anyone else still holds a reference).
-                self.router.buffer_pool().recycle(payload);
-                self.comm_time += self.clock - pre;
-                return Err(e);
-            }
-            Some(entry)
+        let (upto, res) = match outcome {
+            SendOutcome::Done { completion } => (completion, Ok(())),
+            SendOutcome::Failed { err, at } => (at, Err(err)),
         };
-        let size = virtual_size.unwrap_or(payload.len());
-        let env = Envelope {
-            comm,
-            src_rank,
-            tag,
-            payload,
-            send_stamp: self.clock,
-            src_endpoint: self.endpoint,
-            seq: self.seq,
-            virtual_size,
-        };
-        self.seq += 1;
-        // Sender-side CPU cost: message injection.
-        self.clock += self.node.nic_send_overhead;
+        self.clock = self.clock.max(upto);
         self.comm_time += self.clock - pre;
-        self.bytes_sent += size as u64;
-        self.msgs_sent += 1;
         if let Some(track) = &self.obs {
-            track.span(obs::Category::Send, "send", pre, self.clock);
-            track.add("bytes_sent", size as u64);
-            track.add("msgs_sent", 1);
+            match spans {
+                Spans::Blocking if res.is_ok() => {
+                    track.span(obs::Category::Send, "send", pre, self.clock);
+                }
+                Spans::Wait if self.clock > pre => {
+                    track.span(obs::Category::Wait, "wait-send", pre, self.clock);
+                }
+                _ => {}
+            }
         }
-        match dst_entry {
-            // Self-send: straight into our own mailbox, no router lookup.
-            None => self.mailbox.push(env),
-            Some(entry) => entry.mailbox().push(env),
-        }
-        Ok(())
+        res
     }
 
-    /// Sender-side fault checks, consulted before a remote injection.
+    /// Sender-side fault checks, consulted before a remote injection, as
+    /// a pure clock transform: starting at `start`, walk the retry/backoff
+    /// schedule against the static plan and return the virtual time at
+    /// which the fabric accepts the injection — or the error plus the
+    /// time at which the sender gives up. The charge lands on the clock
+    /// when the send completes.
     ///
     /// Determinism: the node check reads only the *static* fault plan (plus
     /// the repairs map, quiescent while ranks run) against the sender's own
     /// virtual clock — never the dynamic dead set, whose update timing
-    /// depends on host scheduling. The link check advances the virtual
-    /// clock through the retry/backoff loop, which is equally a pure
-    /// function of the plan and the clock.
-    fn check_destination(&mut self, dst_node: NodeId) -> Result<(), PsmpiError> {
-        let (clock, err) = self.destination_clearance(dst_node, self.clock);
-        self.clock = clock;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// The fault checks as a pure clock transform: starting at `start`,
-    /// walk the retry/backoff schedule against the static plan and return
-    /// the virtual time at which the fabric accepts the injection —
-    /// or the error plus the time at which the sender gives up. Blocking
-    /// sends apply the result to the caller's clock immediately
-    /// ([`Rank::check_destination`]); posted sends charge it to the
-    /// request instead.
+    /// depends on host scheduling. The retry/backoff loop is equally a
+    /// pure function of the plan and the clock.
     fn destination_clearance(
         &self,
         dst_node: NodeId,
@@ -1760,30 +1140,25 @@ impl Rank {
         (clock, None)
     }
 
-    pub(crate) fn recv_raw(
-        &mut self,
-        comm: CommId,
-        src: Option<usize>,
-        tag: Option<Tag>,
-        src_ep: Option<EndpointId>,
-    ) -> Result<(Bytes, Status), PsmpiError> {
-        self.recv_raw_as(comm, src, tag, src_ep, BLOCKING_SPANS)
-    }
-
-    /// [`Rank::recv_raw`] with caller-chosen span labels: blocking
-    /// receives stamp `Recv`/"recv", request completions stamp
-    /// `Wait`/"wait-recv" *instead* (not around it — a `Wait` span
+    /// Receive half of every receive: match in the mailbox (aborting if
+    /// the awaited sender's node dies or a revoke marker arrives), advance
+    /// the clock to the modelled arrival and stamp the span `spans` asks
+    /// for. Blocking receives stamp `Recv`/"recv", request completions
+    /// stamp `Wait`/"wait-recv" *instead* (not around it — a `Wait` span
     /// wrapping a `Recv` span would get zero exclusive time under the
     /// profile's innermost-cover attribution).
-    fn recv_raw_as(
+    fn complete_recv(
         &mut self,
         comm: CommId,
         src: Option<usize>,
         tag: Option<Tag>,
         src_ep: Option<EndpointId>,
-        spans: RecvSpans,
+        spans: Spans,
     ) -> Result<(Bytes, Status), PsmpiError> {
-        let (cat, name, abort_name) = spans;
+        let (cat, name, abort_name) = match spans {
+            Spans::Blocking => (obs::Category::Recv, "recv", "recv-aborted"),
+            Spans::Wait => (obs::Category::Wait, "wait-recv", "wait-aborted"),
+        };
         let pre = self.clock;
         // Resolve the watched sender's node up front so the abort closure
         // only consults the lock-free `any_dead` screen, never the endpoint
@@ -1969,4 +1344,17 @@ impl Rank {
             energy_joules,
         }
     }
+}
+
+/// The endpoint of rank `rank` in `group`, range-checked: the one check
+/// every target kind goes through.
+fn peer_endpoint(group: &Group, rank: usize) -> Result<EndpointId, PsmpiError> {
+    group
+        .endpoints
+        .get(rank)
+        .copied()
+        .ok_or(PsmpiError::InvalidRank {
+            rank,
+            size: group.len(),
+        })
 }

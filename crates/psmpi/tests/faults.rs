@@ -62,7 +62,7 @@ fn failed_send_never_recycles_an_aliased_buffer() {
         let payload = Bytes::from(vec![42u8; 4096]);
         let alias = payload.clone();
         let before = rank.buffer_pool().pooled();
-        let err = rank.send_bytes_comm(&w, 1, 7, payload).unwrap_err();
+        let err = rank.send_bytes((&w, 1), 7, payload).unwrap_err();
         assert!(matches!(err, MpiError::NodeFailed { .. }));
         assert_eq!(
             rank.buffer_pool().pooled(),

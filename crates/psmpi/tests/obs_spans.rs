@@ -1,13 +1,15 @@
 //! Observability across `comm_spawn`: spans stay well-nested on both sides
 //! of the inter-communicator, teardown under *active* spans is counted
 //! rather than lost, and the critical path crosses the intercomm into the
-//! spawned world.
+//! spawned world. The runtime's own p2p spans keep their labels:
+//! blocking calls stamp `Send`/"send" and `Recv`/"recv", posted ones
+//! stamp `Wait`/"wait-send" and `Wait`/"wait-recv".
 
 use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
 use hwmodel::{NodeId, SimTime};
 use obs::{Category, Recorder, TrackKey};
-use psmpi::{Rank, Universe};
-use simnet::{Fabric, Topology};
+use psmpi::{MpiError, MpiRequest, Rank, RetryPolicy, Universe};
+use simnet::{Fabric, FaultPlan, Topology};
 
 fn universe(cn: u32, bn: u32) -> Universe {
     let mut t = Topology::new();
@@ -38,16 +40,16 @@ fn spawn_teardown_under_active_spans() {
                 let cphase = child.obs_open(Category::Phase, "child-phase");
                 let parent = child.parent().unwrap();
                 child.compute(&work("child-kernel"));
-                child.send_inter(&parent, 0, 3, &41u64).unwrap();
-                let (v, _) = child.recv_inter::<u64>(&parent, Some(0), Some(4)).unwrap();
+                child.send((&parent, 0), 3, &41u64).unwrap();
+                let (v, _) = child.recv::<u64>((&parent, Some(0)), Some(4)).unwrap();
                 assert_eq!(v, 42);
                 child.obs_close(cphase);
                 // A second span is *left open* at teardown on purpose.
                 let _leak = child.obs_open(Category::Wait, "left-open");
             })
             .unwrap();
-        let (v, _) = rank.recv_inter::<u64>(&ic, Some(0), Some(3)).unwrap();
-        rank.send_inter(&ic, 0, 4, &(v + 1)).unwrap();
+        let (v, _) = rank.recv::<u64>((&ic, Some(0)), Some(3)).unwrap();
+        rank.send((&ic, 0), 4, &(v + 1)).unwrap();
         rank.obs_close(phase);
         ic.disconnect();
     });
@@ -117,10 +119,10 @@ fn critical_path_crosses_the_intercomm() {
             .spawn_world(&[NodeId(1)], |child: &mut Rank| {
                 let parent = child.parent().unwrap();
                 child.compute(&work("heavy"));
-                child.send_inter(&parent, 0, 9, &7u64).unwrap();
+                child.send((&parent, 0), 9, &7u64).unwrap();
             })
             .unwrap();
-        let (v, _) = rank.recv_inter::<u64>(&ic, Some(0), Some(9)).unwrap();
+        let (v, _) = rank.recv::<u64>((&ic, Some(0)), Some(9)).unwrap();
         assert_eq!(v, 7);
     });
 
@@ -169,4 +171,148 @@ fn traces_are_identical_across_runs() {
     assert!(json_a.contains("\"ph\":\"X\""));
     assert!(rep_a.contains("critical path"));
     let _ = SimTime::ZERO;
+}
+
+/// Two cluster nodes under `plan`, with a recorder attached.
+fn traced(plan: FaultPlan, node: &hwmodel::NodeSpec) -> (Universe, Recorder) {
+    let mut t = Topology::new();
+    t.add_nodes(2, node);
+    let fabric = Fabric::new(t);
+    fabric.set_fault_plan(plan);
+    let u = Universe::new(fabric);
+    let rec = Recorder::new();
+    u.attach_obs(rec.clone());
+    (u, rec)
+}
+
+/// (category, name, start, end) of every span on world rank `rank`.
+fn spans_of(rec: &Recorder, rank: u64) -> Vec<(Category, String, SimTime, SimTime)> {
+    let trace = rec.snapshot();
+    let track = trace
+        .tracks
+        .iter()
+        .find(|t| t.key.rank == rank)
+        .expect("track of the rank");
+    track
+        .spans
+        .iter()
+        .map(|s| (s.cat, s.name.clone(), s.start, s.end))
+        .collect()
+}
+
+#[test]
+fn blocking_send_and_recv_keep_their_span_labels_through_backoff() {
+    // The link is down for the first 250 µs: the send backs off 100 µs
+    // then 200 µs before injecting. Its one span covers backoff plus NIC.
+    let mut plan = FaultPlan::new();
+    plan.add_link_fault(
+        NodeId(0),
+        NodeId(1),
+        SimTime::ZERO,
+        SimTime::from_micros(250.0),
+    );
+    let node = deep_er_cluster_node();
+    let done = SimTime::from_micros(300.0) + node.nic_send_overhead;
+    let (u, rec) = traced(plan, &node);
+    u.launch(&[NodeId(0), NodeId(1)], move |rank| {
+        if rank.rank() == 0 {
+            rank.send_slice(1, 7, &[1.0f64; 8]).unwrap();
+            assert_eq!(rank.now(), done);
+        } else {
+            let mut inbox = [0.0f64; 8];
+            rank.recv_into(Some(0), Some(7), &mut inbox).unwrap();
+        }
+    });
+    assert_eq!(
+        spans_of(&rec, 0),
+        vec![(Category::Send, "send".to_string(), SimTime::ZERO, done)]
+    );
+    let recv = spans_of(&rec, 1);
+    assert_eq!(recv.len(), 1, "{recv:?}");
+    assert_eq!((recv[0].0, recv[0].1.as_str()), (Category::Recv, "recv"));
+}
+
+#[test]
+fn zero_length_blocking_send_still_emits_its_span() {
+    let mut node = deep_er_cluster_node();
+    node.nic_send_overhead = SimTime::ZERO;
+    let (u, rec) = traced(FaultPlan::new(), &node);
+    u.launch(&[NodeId(0)], |rank| {
+        rank.send_slice::<f64>(0, 7, &[]).unwrap();
+        let mut empty: [f64; 0] = [];
+        rank.recv_into(Some(0), Some(7), &mut empty).unwrap();
+    });
+    let spans = spans_of(&rec, 0);
+    assert_eq!(spans.len(), 2, "{spans:?}");
+    assert_eq!(
+        spans[0],
+        (
+            Category::Send,
+            "send".to_string(),
+            SimTime::ZERO,
+            SimTime::ZERO
+        )
+    );
+    assert_eq!((spans[1].0, spans[1].1.as_str()), (Category::Recv, "recv"));
+}
+
+#[test]
+fn failed_blocking_send_emits_no_span() {
+    // Three retries (100 + 200 + 400 µs) against a link that stays down:
+    // the send gives up at 700 µs, its clock stops there, and the track
+    // records nothing for it.
+    let mut plan = FaultPlan::new();
+    plan.add_link_fault(
+        NodeId(0),
+        NodeId(1),
+        SimTime::ZERO,
+        SimTime::from_secs(100.0),
+    );
+    let (u, rec) = traced(plan, &deep_er_cluster_node());
+    let base = SimTime::from_micros(100.0);
+    let gave_up = base + base * 2.0 + base * 4.0;
+    u.router().set_retry_policy(RetryPolicy {
+        max_retries: 3,
+        base_backoff: base,
+        give_up_after: SimTime::from_secs(10.0),
+    });
+    u.launch(&[NodeId(0), NodeId(1)], move |rank| {
+        if rank.rank() == 0 {
+            let err = rank.send_slice(1, 7, &[1.0f64; 8]).unwrap_err();
+            assert!(matches!(err, MpiError::LinkDown { .. }), "{err}");
+            assert_eq!(rank.now(), gave_up);
+        }
+    });
+    assert_eq!(spans_of(&rec, 0), vec![]);
+}
+
+#[test]
+fn posted_send_and_recv_emit_wait_spans() {
+    let node = deep_er_cluster_node();
+    let (u, rec) = traced(FaultPlan::new(), &node);
+    u.launch(&[NodeId(0), NodeId(1)], |rank| {
+        if rank.rank() == 0 {
+            let req = rank.isend_slice(1, 7, &[1.0f64; 8]).unwrap();
+            req.wait(rank).unwrap();
+        } else {
+            let mut inbox = [0.0f64; 8];
+            let req = rank.irecv_into(Some(0), Some(7), &mut inbox).unwrap();
+            req.wait(rank).unwrap();
+        }
+    });
+    assert_eq!(
+        spans_of(&rec, 0),
+        vec![(
+            Category::Wait,
+            "wait-send".to_string(),
+            SimTime::ZERO,
+            node.nic_send_overhead
+        )]
+    );
+    let recv = spans_of(&rec, 1);
+    assert_eq!(recv.len(), 1, "{recv:?}");
+    assert_eq!(
+        (recv[0].0, recv[0].1.as_str()),
+        (Category::Wait, "wait-recv")
+    );
 }

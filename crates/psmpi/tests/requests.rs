@@ -8,6 +8,7 @@ use hwmodel::presets::deep_er_cluster_node;
 use hwmodel::{NodeId, SimTime};
 use psmpi::{MpiError, MpiRequest, Universe, UniverseBuilder};
 use simnet::{Fabric, FaultPlan, Topology};
+use std::sync::{Arc, Mutex};
 
 fn faulted_universe(n: u32, plan: FaultPlan) -> Universe {
     let mut t = Topology::new();
@@ -104,34 +105,70 @@ fn irecv_wait_is_max_of_clock_and_arrival() {
 #[test]
 fn isend_then_wait_matches_blocking_send_exactly() {
     // Post + immediate wait must be indistinguishable from the blocking
-    // send — same final clocks, same counters, same received bits.
-    let run = |nonblocking: bool| {
-        let report = UniverseBuilder::new()
-            .add_nodes(2, &deep_er_cluster_node())
-            .run(move |rank| {
-                if rank.rank() == 0 {
-                    let payload: Vec<f64> = (0..256).map(|i| i as f64 * 0.5).collect();
-                    if nonblocking {
-                        let req = rank.isend_slice(1, 7, &payload).unwrap();
-                        req.wait(rank).unwrap();
-                    } else {
-                        rank.send_slice(1, 7, &payload).unwrap();
-                    }
+    // send — same final clocks, same counters, same received bits, same
+    // error — on a clean fabric, through link-fault backoff, and when the
+    // link stays down past the retry budget.
+    let mut backoff = FaultPlan::new();
+    backoff.add_link_fault(NodeId(0), NodeId(1), SimTime::ZERO, s(250e-6));
+    let mut down = FaultPlan::new();
+    down.add_link_fault(NodeId(0), NodeId(1), SimTime::ZERO, s(100.0));
+    let run = |plan: FaultPlan, delivered: bool, nonblocking: bool| {
+        let errors = Arc::new(Mutex::new(Vec::new()));
+        let sink = errors.clone();
+        let report = faulted_universe(2, plan).launch(&[NodeId(0), NodeId(1)], move |rank| {
+            if rank.rank() == 0 {
+                let payload: Vec<f64> = (0..256).map(|i| i as f64 * 0.5).collect();
+                let res = if nonblocking {
+                    let req = rank.isend_slice(1, 7, &payload).unwrap();
+                    req.wait(rank)
                 } else {
-                    let mut inbox = vec![0.0f64; 256];
-                    rank.recv_into(Some(0), Some(7), &mut inbox).unwrap();
-                    assert_eq!(inbox[255].to_bits(), (255.0f64 * 0.5).to_bits());
+                    rank.send_slice(1, 7, &payload)
+                };
+                if let Err(e) = res {
+                    sink.lock().unwrap().push(e.to_string());
                 }
-            });
+            } else if delivered {
+                let mut inbox = vec![0.0f64; 256];
+                rank.recv_into(Some(0), Some(7), &mut inbox).unwrap();
+                assert_eq!(inbox[255].to_bits(), (255.0f64 * 0.5).to_bits());
+            }
+        });
         let mut o: Vec<_> = report
             .outcomes()
             .iter()
-            .map(|o| (o.rank, o.clock, o.bytes_sent, o.msgs_sent))
+            .map(|o| (o.rank, o.clock, o.comm_time, o.bytes_sent, o.msgs_sent))
             .collect();
         o.sort_by_key(|a| a.0);
-        o
+        let errors = errors.lock().unwrap().clone();
+        (o, errors)
     };
-    assert_eq!(run(false), run(true));
+    for (plan, delivered) in [(FaultPlan::new(), true), (backoff, true), (down, false)] {
+        let blocking = run(plan.clone(), delivered, false);
+        assert_eq!(blocking, run(plan, delivered, true));
+        assert_eq!(blocking.1.is_empty(), delivered, "{:?}", blocking.1);
+    }
+    psmpi::lockcheck::assert_acyclic();
+}
+
+#[test]
+fn irecv_from_out_of_range_intercomm_rank_is_rejected_at_post() {
+    // An intercomm receive names a rank of the *remote* group; one past
+    // its end has no endpoint and no sender can ever match it, so the
+    // post must fail instead of waiting forever.
+    let u = faulted_universe(2, FaultPlan::new());
+    u.launch(&[NodeId(0)], |rank| {
+        let ic = rank.spawn_world(&[NodeId(1)], |_child| {}).unwrap();
+        let n = ic.remote_size();
+        let invalid = |e: MpiError| matches!(e, MpiError::InvalidRank { rank, size } if (rank, size) == (n, n));
+        assert!(invalid(rank.irecv_bytes((&ic, Some(n)), Some(7)).err().unwrap()));
+        assert!(invalid(rank.irecv::<u64>((&ic, Some(n)), Some(7)).err().unwrap()));
+        let mut out = [0.0f64; 4];
+        assert!(invalid(rank.irecv_into((&ic, Some(n)), Some(7), &mut out).err().unwrap()));
+        // The in-range rank and the wildcard still post.
+        let ok = rank.irecv_bytes((&ic, Some(n - 1)), Some(7)).unwrap();
+        let any = rank.irecv_bytes((&ic, None), Some(7)).unwrap();
+        assert!(ok.test(rank).unwrap().is_err() && any.test(rank).unwrap().is_err());
+    });
     psmpi::lockcheck::assert_acyclic();
 }
 
@@ -281,7 +318,7 @@ fn inam_put_post_is_free_and_wait_charges_rdma_time() {
     u.launch(&[NodeId(0)], move |rank| {
         let data = vec![0xABu8; 4096];
         let t0 = rank.now();
-        let req = rank.inam_put(0, region, 0, &data).unwrap();
+        let req = rank.inam_put(0, region, 0, &data, None).unwrap();
         assert_eq!(rank.now(), t0, "posting a NAM put must not move the clock");
         assert_eq!(
             nam_probe.get(region, 0, 4096).unwrap(),
@@ -295,7 +332,7 @@ fn inam_put_post_is_free_and_wait_charges_rdma_time() {
             "wait charges exactly the modelled NAM RDMA time"
         );
         // A second put fully hidden behind compute costs nothing at wait.
-        let req = rank.inam_put(0, region, 0, &data).unwrap();
+        let req = rank.inam_put(0, region, 0, &data, None).unwrap();
         rank.advance(expect * 2.0);
         let t1 = rank.now();
         req.wait(rank).unwrap();
@@ -320,9 +357,7 @@ fn inam_put_sized_charges_the_wire_size_not_the_blob() {
     u.launch(&[NodeId(0)], move |rank| {
         let data = vec![7u8; 1 << 20];
         let t0 = rank.now();
-        let req = rank
-            .inam_put_sized(0, region, 0, &data, Some(2048))
-            .unwrap();
+        let req = rank.inam_put(0, region, 0, &data, Some(2048)).unwrap();
         req.wait(rank).unwrap();
         assert_eq!(rank.now(), t0 + frame);
         assert!(frame < full);
@@ -340,11 +375,11 @@ fn inam_put_rejects_unknown_device_and_bad_region() {
     let u = Universe::new(fabric);
     u.launch(&[NodeId(0)], move |rank| {
         assert!(matches!(
-            rank.inam_put(7, region, 0, &[0u8; 4]),
+            rank.inam_put(7, region, 0, &[0u8; 4], None),
             Err(MpiError::Nam(_))
         ));
         assert!(matches!(
-            rank.inam_put(0, region, 12, &[0u8; 8]),
+            rank.inam_put(0, region, 12, &[0u8; 8], None),
             Err(MpiError::Nam(simnet::nam::NamError::OutOfBounds { .. }))
         ));
     });

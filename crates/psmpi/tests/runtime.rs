@@ -4,7 +4,7 @@
 use hwmodel::presets::{deep_er_booster_node, deep_er_cluster_node};
 use hwmodel::{NodeId, SimTime, WorkSpec};
 use parking_lot::Mutex;
-use psmpi::{ReduceOp, UniverseBuilder, ANY_SOURCE, ANY_TAG};
+use psmpi::{MpiRequest, ReduceOp, UniverseBuilder, ANY_SOURCE, ANY_TAG};
 use std::sync::Arc;
 
 fn cluster(n: u32) -> UniverseBuilder {
@@ -132,7 +132,7 @@ fn nonblocking_overlap_hides_transfer() {
         if rank.rank() == 0 {
             rank.send(1, 0, &payload).unwrap();
         } else {
-            let req = rank.irecv::<Vec<u8>>(Some(0), Some(0));
+            let req = rank.irecv::<Vec<u8>>(Some(0), Some(0)).unwrap();
             let aux = WorkSpec::named("aux")
                 .flops(5e8)
                 .vector_fraction(0.5)
@@ -141,8 +141,7 @@ fn nonblocking_overlap_hides_transfer() {
             rank.compute(&aux);
             let compute_clock = rank.now();
             let (v, st) = req.wait(rank).unwrap();
-            assert_eq!(v.unwrap().len(), 8 << 20);
-            let st = st.unwrap();
+            assert_eq!(v.len(), 8 << 20);
             c2.lock().push((compute_clock, st.arrival, rank.now()));
         }
     });
@@ -288,11 +287,11 @@ fn dup_gets_fresh_context() {
         assert_eq!(d.size(), w.size());
         // Messages on the dup don't leak into the world context.
         if rank.rank() == 0 {
-            rank.send_comm(&d, 1, 3, &1u8).unwrap();
-            rank.send_comm(&w, 1, 3, &2u8).unwrap();
+            rank.send((&d, 1), 3, &1u8).unwrap();
+            rank.send((&w, 1), 3, &2u8).unwrap();
         } else if rank.rank() == 1 {
-            let (vw, _) = rank.recv_comm::<u8>(&w, Some(0), Some(3)).unwrap();
-            let (vd, _) = rank.recv_comm::<u8>(&d, Some(0), Some(3)).unwrap();
+            let (vw, _) = rank.recv::<u8>((&w, Some(0)), Some(3)).unwrap();
+            let (vd, _) = rank.recv::<u8>((&d, Some(0)), Some(3)).unwrap();
             assert_eq!((vw, vd), (2, 1));
         }
     });
@@ -333,11 +332,9 @@ fn spawn_creates_child_world_with_intercomm() {
                             assert_eq!(pic.remote_size(), 2);
                             // Child rank 0 sends its world size to parent rank 0.
                             if child.rank() == 0 {
-                                child
-                                    .send_inter(&pic, 0, 9, &(child.size() as u64))
-                                    .unwrap();
+                                child.send((&pic, 0), 9, &(child.size() as u64)).unwrap();
                                 let (echo, _) =
-                                    child.recv_inter::<u64>(&pic, Some(0), Some(10)).unwrap();
+                                    child.recv::<u64>((&pic, Some(0)), Some(10)).unwrap();
                                 assert_eq!(echo, 42);
                             }
                         }),
@@ -346,10 +343,10 @@ fn spawn_creates_child_world_with_intercomm() {
                 assert_eq!(ic.remote_size(), 3);
                 assert_eq!(ic.local_size(), 2);
                 if rank.rank() == 0 {
-                    let (n, st) = rank.recv_inter::<u64>(&ic, Some(0), Some(9)).unwrap();
+                    let (n, st) = rank.recv::<u64>((&ic, Some(0)), Some(9)).unwrap();
                     assert_eq!(n, 3);
                     assert_eq!(st.source, 0);
-                    rank.send_inter(&ic, 0, 10, &42u64).unwrap();
+                    rank.send((&ic, 0), 10, &42u64).unwrap();
                 }
             }
         });
@@ -380,7 +377,7 @@ fn request_test_polls_without_blocking() {
     cluster(2).run(|rank| {
         let w = rank.world();
         if rank.rank() == 1 {
-            let mut req = rank.irecv::<u64>(Some(0), Some(9));
+            let mut req = rank.irecv::<u64>(Some(0), Some(9)).unwrap();
             // The sender is still held at the barrier, so the first poll
             // finds nothing and hands the request back.
             req = match req.test(rank).unwrap() {
@@ -392,8 +389,8 @@ fn request_test_polls_without_blocking() {
             loop {
                 match req.test(rank).unwrap() {
                     Ok((v, st)) => {
-                        assert_eq!(v.unwrap(), 77);
-                        assert!(st.unwrap().bytes > 0);
+                        assert_eq!(v, 77);
+                        assert!(st.bytes > 0);
                         break;
                     }
                     Err(r) => {

@@ -17,10 +17,10 @@ fn send_bytes_delivers_senders_allocation() {
         if rank.rank() == 0 {
             let payload = Bytes::from(vec![7u8; 1 << 16]);
             rank.send(1, 1, &(payload.as_ptr() as u64)).unwrap();
-            rank.send_bytes_comm(&w, 1, 2, payload).unwrap();
+            rank.send_bytes((&w, 1), 2, payload).unwrap();
         } else {
             let (ptr, _) = rank.recv::<u64>(Some(0), Some(1)).unwrap();
-            let (got, st) = rank.recv_bytes_comm(&w, Some(0), Some(2)).unwrap();
+            let (got, st) = rank.recv_bytes((&w, Some(0)), Some(2)).unwrap();
             assert_eq!(st.bytes, 1 << 16);
             assert_eq!(got.len(), 1 << 16);
             // The received handle points into the sender's buffer: no copy
@@ -88,8 +88,8 @@ fn self_send_charges_only_send_overhead() {
         let payload = Bytes::from(vec![0u8; 8 << 20]);
         let rounds = 10u32;
         for _ in 0..rounds {
-            rank.send_bytes_comm(&w, 0, 7, payload.clone()).unwrap();
-            let (v, _) = rank.recv_bytes_comm(&w, Some(0), Some(7)).unwrap();
+            rank.send_bytes((&w, 0), 7, payload.clone()).unwrap();
+            let (v, _) = rank.recv_bytes((&w, Some(0)), Some(7)).unwrap();
             assert_eq!(
                 v.as_ptr(),
                 payload.as_ptr(),

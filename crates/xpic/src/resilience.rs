@@ -148,7 +148,7 @@ pub fn unpack_state(data: &[u8], grid: &Grid) -> (Vec<Species>, Fields) {
 /// only for the local NVMe stage ([`ScrManager::checkpoint_async`]); the
 /// buddy copy then drains through *real* fabric transfers posted with the
 /// nonblocking request engine — a peer-to-peer `isend`/`irecv` pair to the
-/// rank's buddy, or a one-sided [`Rank::inam_put_sized`] RDMA put when the
+/// rank's buddy, or a one-sided [`Rank::inam_put`] RDMA put when the
 /// manager's buddy level is NAM-backed — so the next steps' compute hides
 /// the drain in virtual time. The drain is realized at the next
 /// synchronization point (`drain_wait`), after which rank 0 promotes the
@@ -281,7 +281,7 @@ impl<'a> CkptEngine<'a> {
                         .nam_region(id, rank.rank(), full.len() as u64)
                         .expect("NAM region for drain");
                     self.send =
-                        Some(rank.inam_put_sized(nam.index, region, 0, full, Some(wire.len()))?);
+                        Some(rank.inam_put(nam.index, region, 0, full, Some(wire.len()))?);
                 } else {
                     // Peer-to-peer buddy copy through the request engine:
                     // the frame rides a real fabric transfer to this
@@ -292,8 +292,8 @@ impl<'a> CkptEngine<'a> {
                     let buddy = self.scr.buddy_of(me);
                     let from = (me + n - self.scr.buddy_of(0)) % n;
                     let payload = Bytes::copy_from_slice(wire);
-                    self.send = Some(rank.isend_bytes_comm(world, buddy, TAG_DRAIN, payload)?);
-                    self.recv = Some(rank.irecv_bytes_comm(world, Some(from), Some(TAG_DRAIN))?);
+                    self.send = Some(rank.isend_bytes((world, buddy), TAG_DRAIN, payload)?);
+                    self.recv = Some(rank.irecv_bytes((world, Some(from)), Some(TAG_DRAIN))?);
                 }
             }
             CheckpointLevel::Global => {
@@ -775,7 +775,7 @@ fn supervise(
             .expect("spawn solver world");
         incarnation += 1;
 
-        match rank.recv_inter::<StatusMsg>(&ic, Some(0), Some(TAG_STATUS)) {
+        match rank.recv::<StatusMsg>((&ic, Some(0)), Some(TAG_STATUS)) {
             Ok((status, _)) => {
                 let mut o = out.lock();
                 o.field_energy = status.field_energy;
@@ -963,9 +963,8 @@ fn resilient_steps(
     let sums = rank.allreduce(world, &[fe, ke], ReduceOp::Sum)?;
     if me == 0 {
         engine.finish_promote();
-        rank.send_inter(
-            parent,
-            0,
+        rank.send(
+            (parent, 0),
             TAG_STATUS,
             &StatusMsg {
                 steps_done: config.steps,

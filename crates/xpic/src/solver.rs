@@ -14,7 +14,9 @@ use crate::grid::{Grid, Moments};
 use crate::moments::{add_into_border_row, clear_ghosts, extract_ghost_row};
 use crate::particles::Species;
 use crate::wire;
-use psmpi::{Communicator, MpiRequest, PsmpiError, Rank, RecvRequest, ReduceOp, SendRequest};
+use psmpi::{
+    Communicator, MpiRequest, Payload, PsmpiError, Rank, RecvRequest, ReduceOp, SendRequest,
+};
 
 /// Reserved message tags of the xPic exchanges.
 pub mod tags {
@@ -88,18 +90,24 @@ impl<'a> MpiFieldComm<'a> {
         let last_j = grid.ny_local as isize - 1;
         let last =
             wire::f64s_to_bytes_pooled(pool, &arr[grid.idx(0, last_j)..grid.idx(0, last_j) + nx]);
-        self.rank
-            .send_bytes_comm_sized(&self.comm, prev, tags::HALO_UP, first, self.wire_halo)?;
-        self.rank
-            .send_bytes_comm_sized(&self.comm, next, tags::HALO_DOWN, last, self.wire_halo)?;
+        self.rank.send_bytes(
+            (&self.comm, prev),
+            tags::HALO_UP,
+            Payload::sized(first, self.wire_halo),
+        )?;
+        self.rank.send_bytes(
+            (&self.comm, next),
+            tags::HALO_DOWN,
+            Payload::sized(last, self.wire_halo),
+        )?;
         // Our bottom ghost row is the next slab's first row.
-        let (from_next, _) =
-            self.rank
-                .recv_bytes_comm(&self.comm, Some(next), Some(tags::HALO_UP))?;
+        let (from_next, _) = self
+            .rank
+            .recv_bytes((&self.comm, Some(next)), Some(tags::HALO_UP))?;
         // Our top ghost row is the previous slab's last row.
-        let (from_prev, _) =
-            self.rank
-                .recv_bytes_comm(&self.comm, Some(prev), Some(tags::HALO_DOWN))?;
+        let (from_prev, _) = self
+            .rank
+            .recv_bytes((&self.comm, Some(prev)), Some(tags::HALO_DOWN))?;
         wire::read_f64s_into(&from_prev, &mut arr[grid.idx(0, -1)..grid.idx(0, -1) + nx]);
         let bot = grid.idx(0, grid.ny_local as isize);
         wire::read_f64s_into(&from_next, &mut arr[bot..bot + nx]);
@@ -183,10 +191,14 @@ pub fn try_halo_add_moments(
     let pool = rank.buffer_pool();
     let top = wire::f64s_to_bytes_pooled(pool, &extract_ghost_row(grid, moments, true));
     let bottom = wire::f64s_to_bytes_pooled(pool, &extract_ghost_row(grid, moments, false));
-    rank.send_bytes_comm_sized(comm, prev, tags::MOM_UP, top, wire_size)?;
-    rank.send_bytes_comm_sized(comm, next, tags::MOM_DOWN, bottom, wire_size)?;
-    let (from_next, _) = rank.recv_bytes_comm(comm, Some(next), Some(tags::MOM_UP))?;
-    let (from_prev, _) = rank.recv_bytes_comm(comm, Some(prev), Some(tags::MOM_DOWN))?;
+    rank.send_bytes((comm, prev), tags::MOM_UP, Payload::sized(top, wire_size))?;
+    rank.send_bytes(
+        (comm, next),
+        tags::MOM_DOWN,
+        Payload::sized(bottom, wire_size),
+    )?;
+    let (from_next, _) = rank.recv_bytes((comm, Some(next)), Some(tags::MOM_UP))?;
+    let (from_prev, _) = rank.recv_bytes((comm, Some(prev)), Some(tags::MOM_DOWN))?;
     // The next slab's top ghost is spill below our last row; the previous
     // slab's bottom ghost is spill above our first row.
     add_into_border_row(grid, moments, &wire::bytes_to_f64s(&from_next), false);
@@ -220,8 +232,8 @@ pub fn post_halo_add_recvs(
     let prev = (me + n - 1) % n;
     let next = (me + 1) % n;
     Ok(Some(HaloAddRecvs {
-        from_next: rank.irecv_bytes_comm(comm, Some(next), Some(tags::MOM_UP))?,
-        from_prev: rank.irecv_bytes_comm(comm, Some(prev), Some(tags::MOM_DOWN))?,
+        from_next: rank.irecv_bytes((comm, Some(next)), Some(tags::MOM_UP))?,
+        from_prev: rank.irecv_bytes((comm, Some(prev)), Some(tags::MOM_DOWN))?,
     }))
 }
 
@@ -247,8 +259,12 @@ pub fn send_halo_add_ghosts(
     let pool = rank.buffer_pool();
     let top = wire::f64s_to_bytes_pooled(pool, &extract_ghost_row(grid, moments, true));
     let bottom = wire::f64s_to_bytes_pooled(pool, &extract_ghost_row(grid, moments, false));
-    let up = rank.isend_bytes_comm_sized(comm, prev, tags::MOM_UP, top, wire_size)?;
-    let down = rank.isend_bytes_comm_sized(comm, next, tags::MOM_DOWN, bottom, wire_size)?;
+    let up = rank.isend_bytes((comm, prev), tags::MOM_UP, Payload::sized(top, wire_size))?;
+    let down = rank.isend_bytes(
+        (comm, next),
+        tags::MOM_DOWN,
+        Payload::sized(bottom, wire_size),
+    )?;
     Ok(vec![up, down])
 }
 
@@ -339,10 +355,18 @@ pub fn try_migrate_particles(
     let wire_size = config.wire_migration();
     let up_wire = wire::f64s_to_bytes_pooled(rank.buffer_pool(), &up);
     let down_wire = wire::f64s_to_bytes_pooled(rank.buffer_pool(), &down);
-    rank.send_bytes_comm_sized(comm, prev, tags::MIG_UP, up_wire, wire_size)?;
-    rank.send_bytes_comm_sized(comm, next, tags::MIG_DOWN, down_wire, wire_size)?;
-    let (from_next, _) = rank.recv_bytes_comm(comm, Some(next), Some(tags::MIG_UP))?;
-    let (from_prev, _) = rank.recv_bytes_comm(comm, Some(prev), Some(tags::MIG_DOWN))?;
+    rank.send_bytes(
+        (comm, prev),
+        tags::MIG_UP,
+        Payload::sized(up_wire, wire_size),
+    )?;
+    rank.send_bytes(
+        (comm, next),
+        tags::MIG_DOWN,
+        Payload::sized(down_wire, wire_size),
+    )?;
+    let (from_next, _) = rank.recv_bytes((comm, Some(next)), Some(tags::MIG_UP))?;
+    let (from_prev, _) = rank.recv_bytes((comm, Some(prev)), Some(tags::MIG_DOWN))?;
     let from_next = wire::bytes_to_f64s(&from_next);
     let from_prev = wire::bytes_to_f64s(&from_prev);
     for chunk in from_next.chunks_exact(5).chain(from_prev.chunks_exact(5)) {

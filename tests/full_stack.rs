@@ -134,13 +134,13 @@ fn spawned_worlds_share_the_fabric_with_io() {
                                 .allreduce_scalar(&cw, child.rank() as f64, ReduceOp::Sum)
                                 .unwrap();
                             if child.rank() == 0 {
-                                child.send_inter(&p, 0, 5, &s).unwrap();
+                                child.send((&p, 0), 5, &s).unwrap();
                             }
                         }),
                     )
                     .unwrap();
                 if rank.rank() == 0 {
-                    let (s, st) = rank.recv_inter::<f64>(&ic, Some(0), Some(5)).unwrap();
+                    let (s, st) = rank.recv::<f64>((&ic, Some(0)), Some(5)).unwrap();
                     assert_eq!(s, 1.0); // 0 + 1
                     stamps_in.lock().push((sent_at, st.arrival));
                 }
