@@ -149,16 +149,11 @@ impl FieldSolver {
             .collect();
         par::run_tasks(threads, tasks, |(jr, ys)| {
             for j in jr.clone() {
-                let js = j as isize;
-                for i in 0..nx as isize {
-                    let k = g.idx(i, js);
-                    let lap = x[g.idx(i + 1, js)]
-                        + x[g.idx(i - 1, js)]
-                        + x[g.idx(i, js + 1)]
-                        + x[g.idx(i, js - 1)]
-                        - 4.0 * x[k];
-                    ys[(j - jr.start) * nx + i as usize] = (1.0 + kappa[k]) * x[k] - alpha * lap;
-                }
+                let out = &mut ys[(j - jr.start) * nx..][..nx];
+                g.for_each_cross(j as isize, |i, c| {
+                    let lap = x[c.xp] + x[c.xm] + x[c.yp] + x[c.ym] - 4.0 * x[c.k];
+                    out[i] = (1.0 + kappa[c.k]) * x[c.k] - alpha * lap;
+                });
             }
         });
     }
@@ -297,14 +292,13 @@ impl FieldSolver {
         let mut local_sum = 0.0;
         let mut local_cells = 0.0;
         for j in 0..g.ny_local as isize {
-            for i in 0..g.nx as isize {
-                let k = g.idx(i, j);
-                let div = 0.5 * (fields.ex[g.idx(i + 1, j)] - fields.ex[g.idx(i - 1, j)])
-                    + 0.5 * (fields.ey[g.idx(i, j + 1)] - fields.ey[g.idx(i, j - 1)]);
-                r[k] = div - moments.rho[k];
-                local_sum += r[k];
+            g.for_each_cross(j, |_, c| {
+                let div = 0.5 * (fields.ex[c.xp] - fields.ex[c.xm])
+                    + 0.5 * (fields.ey[c.yp] - fields.ey[c.ym]);
+                r[c.k] = div - moments.rho[c.k];
+                local_sum += r[c.k];
                 local_cells += 1.0;
-            }
+            });
         }
         // Make the RHS zero-mean (periodic Poisson compatibility: the mean
         // of ρ is neutralized by the static background).
@@ -339,11 +333,10 @@ impl FieldSolver {
         let iters = cleaner.solve_component(&kappa, &rhs, &mut phi, comm);
         // E ← E − ∇φ.
         for j in 0..g.ny_local as isize {
-            for i in 0..g.nx as isize {
-                let k = g.idx(i, j);
-                fields.ex[k] -= 0.5 * (phi[g.idx(i + 1, j)] - phi[g.idx(i - 1, j)]);
-                fields.ey[k] -= 0.5 * (phi[g.idx(i, j + 1)] - phi[g.idx(i, j - 1)]);
-            }
+            g.for_each_cross(j, |_, c| {
+                fields.ex[c.k] -= 0.5 * (phi[c.xp] - phi[c.xm]);
+                fields.ey[c.k] -= 0.5 * (phi[c.yp] - phi[c.ym]);
+            });
         }
         comm.halo_exchange(&self.grid, &mut fields.ex);
         comm.halo_exchange(&self.grid, &mut fields.ey);
@@ -370,17 +363,17 @@ impl FieldSolver {
         let mut rhs_y = vec![0.0; n];
         let mut rhs_z = vec![0.0; n];
         for j in 0..g.ny_local as isize {
-            for i in 0..g.nx as isize {
-                let k = g.idx(i, j);
+            g.for_each_cross(j, |_, c| {
+                let k = c.k;
                 // 2-D curls (∂z ≡ 0), central differences, Δx = Δy = 1.
-                let curl_bx = 0.5 * (fields.bz[g.idx(i, j + 1)] - fields.bz[g.idx(i, j - 1)]);
-                let curl_by = -0.5 * (fields.bz[g.idx(i + 1, j)] - fields.bz[g.idx(i - 1, j)]);
-                let curl_bz = 0.5 * (fields.by[g.idx(i + 1, j)] - fields.by[g.idx(i - 1, j)])
-                    - 0.5 * (fields.bx[g.idx(i, j + 1)] - fields.bx[g.idx(i, j - 1)]);
+                let curl_bx = 0.5 * (fields.bz[c.yp] - fields.bz[c.ym]);
+                let curl_by = -0.5 * (fields.bz[c.xp] - fields.bz[c.xm]);
+                let curl_bz = 0.5 * (fields.by[c.xp] - fields.by[c.xm])
+                    - 0.5 * (fields.bx[c.yp] - fields.bx[c.ym]);
                 rhs_x[k] = fields.ex[k] + c1 * (curl_bx - moments.jx[k]);
                 rhs_y[k] = fields.ey[k] + c1 * (curl_by - moments.jy[k]);
                 rhs_z[k] = fields.ez[k] + c1 * (curl_bz - moments.jz[k]);
-            }
+            });
         }
         let mut iters = 0;
         iters += self.solve_component(&kappa, &rhs_x, &mut fields.ex, comm);
@@ -401,16 +394,12 @@ impl FieldSolver {
         let mut dby = vec![0.0; n];
         let mut dbz = vec![0.0; n];
         for j in 0..g.ny_local as isize {
-            for i in 0..g.nx as isize {
-                let k = g.idx(i, j);
-                let curl_ex = 0.5 * (fields.ez[g.idx(i, j + 1)] - fields.ez[g.idx(i, j - 1)]);
-                let curl_ey = -0.5 * (fields.ez[g.idx(i + 1, j)] - fields.ez[g.idx(i - 1, j)]);
-                let curl_ez = 0.5 * (fields.ey[g.idx(i + 1, j)] - fields.ey[g.idx(i - 1, j)])
-                    - 0.5 * (fields.ex[g.idx(i, j + 1)] - fields.ex[g.idx(i, j - 1)]);
-                dbx[k] = curl_ex;
-                dby[k] = curl_ey;
-                dbz[k] = curl_ez;
-            }
+            g.for_each_cross(j, |_, c| {
+                dbx[c.k] = 0.5 * (fields.ez[c.yp] - fields.ez[c.ym]);
+                dby[c.k] = -0.5 * (fields.ez[c.xp] - fields.ez[c.xm]);
+                dbz[c.k] = 0.5 * (fields.ey[c.xp] - fields.ey[c.xm])
+                    - 0.5 * (fields.ex[c.yp] - fields.ex[c.ym]);
+            });
         }
         for j in 0..g.ny_local as isize {
             for i in 0..g.nx as isize {
@@ -462,6 +451,115 @@ mod tests {
                     x_star[k]
                 );
             }
+        }
+    }
+
+    /// The Helmholtz operator with every neighbour taken through
+    /// `Grid::idx` — the oracle for the edge-only wrap in `apply`.
+    fn apply_all_idx(s: &FieldSolver, kappa: &[f64], x: &[f64], y: &mut [f64]) {
+        let g = &s.grid;
+        let alpha = (s.dt * s.theta).powi(2);
+        for j in 0..g.ny_local as isize {
+            for i in 0..g.nx as isize {
+                let k = g.idx(i, j);
+                let lap = x[g.idx(i + 1, j)]
+                    + x[g.idx(i - 1, j)]
+                    + x[g.idx(i, j + 1)]
+                    + x[g.idx(i, j - 1)]
+                    - 4.0 * x[k];
+                y[k] = (1.0 + kappa[k]) * x[k] - alpha * lap;
+            }
+        }
+    }
+
+    /// `solve_component` rebuilt serially on [`apply_all_idx`], with the
+    /// same row-ordered dot products and update order.
+    fn solve_all_idx(s: &FieldSolver, kappa: &[f64], rhs: &[f64], x: &mut [f64]) -> u32 {
+        let g = &s.grid;
+        let owned = |k: &mut dyn FnMut(usize)| {
+            for j in 0..g.ny_local as isize {
+                for i in 0..g.nx as isize {
+                    k(g.idx(i, j));
+                }
+            }
+        };
+        let dot = |a: &[f64], b: &[f64]| -> f64 {
+            let rows: Vec<f64> = (0..g.ny_local as isize)
+                .map(|j| {
+                    let start = g.idx(0, j);
+                    let mut r = 0.0;
+                    for i in 0..g.nx {
+                        r += a[start + i] * b[start + i];
+                    }
+                    r
+                })
+                .collect();
+            rows.iter().sum()
+        };
+        let n = g.len();
+        let (mut r, mut p, mut ap) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        let mut comm = SerialComm;
+        comm.halo_exchange(g, x);
+        apply_all_idx(s, kappa, x, &mut ap);
+        owned(&mut |k| {
+            r[k] = rhs[k] - ap[k];
+            p[k] = r[k];
+        });
+        let tol2 = s.cg_tol * s.cg_tol * dot(rhs, rhs).max(1e-300);
+        let mut rs = dot(&r, &r);
+        let mut iters = 0;
+        while rs > tol2 && iters < s.cg_max_iters {
+            comm.halo_exchange(g, &mut p);
+            apply_all_idx(s, kappa, &p, &mut ap);
+            let alpha = rs / dot(&p, &ap);
+            owned(&mut |k| {
+                x[k] += alpha * p[k];
+                r[k] -= alpha * ap[k];
+            });
+            let rs_new = dot(&r, &r);
+            let beta = rs_new / rs;
+            rs = rs_new;
+            owned(&mut |k| p[k] = r[k] + beta * p[k]);
+            iters += 1;
+        }
+        comm.halo_exchange(g, x);
+        iters
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn edge_only_wrap_matches_all_idx_stencil_bit_for_bit() {
+        for nx in [1usize, 2, 3, 7, 128] {
+            let s = solver(nx, 6);
+            let g = s.grid;
+            let mut kappa = vec![0.0; g.len()];
+            let mut x = vec![0.0; g.len()];
+            for j in 0..g.ny_local as isize {
+                for i in 0..nx as isize {
+                    let k = g.idx(i, j);
+                    kappa[k] = 0.1 + 0.03 * ((i * 5 + j * 3) % 7) as f64;
+                    x[k] = ((i as f64) * 0.37 + 0.1).sin() * ((j as f64) * 0.21).cos();
+                }
+            }
+            SerialComm.halo_exchange(&g, &mut x);
+            let (mut fast, mut oracle) = (vec![0.0; g.len()], vec![0.0; g.len()]);
+            s.apply(&kappa, &x, &mut fast);
+            apply_all_idx(&s, &kappa, &x, &mut oracle);
+            assert_eq!(bits(&fast), bits(&oracle), "apply differs at nx={nx}");
+
+            // The manufactured system of `cg_solves_manufactured_system`:
+            // same iteration count, same solution bits.
+            let mut rhs = vec![0.0; g.len()];
+            apply_all_idx(&s, &kappa, &x, &mut rhs);
+            let (mut xf, mut xo) = (vec![0.0; g.len()], vec![0.0; g.len()]);
+            let iters = s.solve_component(&kappa, &rhs, &mut xf, &mut SerialComm);
+            let iters_oracle = solve_all_idx(&s, &kappa, &rhs, &mut xo);
+            assert!(iters > 0, "nx={nx}: the solve must iterate");
+            assert_eq!(iters, iters_oracle, "CG iterations differ at nx={nx}");
+            assert_eq!(bits(&xf), bits(&xo), "CG solution differs at nx={nx}");
         }
     }
 

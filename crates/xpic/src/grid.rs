@@ -68,6 +68,45 @@ impl Grid {
         row * self.nx + i
     }
 
+    /// Visit the cells of owned local row `j` in column order, each with
+    /// its five-point [`Cross`]. Interior columns take their neighbours as
+    /// `k ± 1` and `k ± nx`; only columns 0 and nx − 1 wrap through
+    /// [`Grid::idx`]. This is the one place periodic-x neighbour logic
+    /// lives for the field stencils.
+    #[inline]
+    pub fn for_each_cross(&self, j: isize, mut f: impl FnMut(usize, Cross)) {
+        debug_assert!(j >= 0 && j < self.ny_local as isize);
+        let nx = self.nx;
+        let edge = |i: usize| {
+            let i = i as isize;
+            Cross {
+                k: self.idx(i, j),
+                xp: self.idx(i + 1, j),
+                xm: self.idx(i - 1, j),
+                yp: self.idx(i, j + 1),
+                ym: self.idx(i, j - 1),
+            }
+        };
+        f(0, edge(0));
+        let row = self.idx(0, j);
+        for i in 1..nx.saturating_sub(1) {
+            let k = row + i;
+            f(
+                i,
+                Cross {
+                    k,
+                    xp: k + 1,
+                    xm: k - 1,
+                    yp: k + nx,
+                    ym: k - nx,
+                },
+            );
+        }
+        if nx > 1 {
+            f(nx - 1, edge(nx - 1));
+        }
+    }
+
     /// Whether global row `gy` (periodic) belongs to this slab.
     pub fn owns_row(&self, gy: isize) -> bool {
         let gy = gy.rem_euclid(self.ny as isize) as usize;
@@ -78,6 +117,84 @@ impl Grid {
     #[inline]
     pub fn to_local_y(&self, gy: f64) -> f64 {
         gy - self.y0 as f64
+    }
+}
+
+/// Flat indices of one owned cell and its four periodic neighbours, as
+/// handed out by [`Grid::for_each_cross`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cross {
+    /// The cell `(i, j)`.
+    pub k: usize,
+    /// `(i + 1, j)`, wrapped in x.
+    pub xp: usize,
+    /// `(i − 1, j)`, wrapped in x.
+    pub xm: usize,
+    /// `(i, j + 1)`.
+    pub yp: usize,
+    /// `(i, j − 1)`.
+    pub ym: usize,
+}
+
+/// The bilinear (cloud-in-cell) stencil of one particle: the four cell
+/// centers around it and their weights. The mover gathers and the deposit
+/// scatters through the same stencil, so both use the same weights (no
+/// self-force).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Stencil {
+    /// Column of the lower-left center, unwrapped.
+    pub i0: isize,
+    /// Local row of the lower-left center.
+    pub j0: isize,
+    /// Weights of `(i0, j0)`, `(i0+1, j0)`, `(i0, j0+1)`, `(i0+1, j0+1)`.
+    pub w: [f64; 4],
+    /// Flat slab indices of the same four centers, wrapped in x.
+    pub k: [usize; 4],
+}
+
+impl Stencil {
+    /// Stencil at `(x, y)` in local cell coordinates. Valid for local
+    /// `y ∈ [-0.5, ny_local + 0.5)`, i.e. `j0 ∈ [-1, ny_local - 1]`, so
+    /// both rows lie within the slab and its ghost rows; `x` is periodic.
+    /// The column wraps once here: `i0 + 1` follows by a compare, the
+    /// upper row by `+ nx`.
+    #[inline]
+    pub fn new(grid: &Grid, x: f64, y: f64) -> Stencil {
+        // Cell centers sit at integer+0.5; shift so floor() finds the lower
+        // left center.
+        let gx = x - 0.5;
+        let gy = y - 0.5;
+        let i0 = gx.floor() as isize;
+        let j0 = gy.floor() as isize;
+        debug_assert!(
+            j0 >= -1 && j0 < grid.ny_local as isize,
+            "stencil outside slab+ghost: y={y}, j0={j0}"
+        );
+        let fx = gx - i0 as f64;
+        let fy = gy - j0 as f64;
+        let nx = grid.nx;
+        let c0 = i0.rem_euclid(nx as isize) as usize;
+        let c1 = if c0 + 1 == nx { 0 } else { c0 + 1 };
+        let row = (j0 + 1) as usize * nx;
+        Stencil {
+            i0,
+            j0,
+            w: [
+                (1.0 - fx) * (1.0 - fy),
+                fx * (1.0 - fy),
+                (1.0 - fx) * fy,
+                fx * fy,
+            ],
+            k: [row + c0, row + c1, row + nx + c0, row + nx + c1],
+        }
+    }
+
+    /// Bilinear interpolation of `field` at the stencil's position.
+    #[inline]
+    pub fn gather(&self, field: &[f64]) -> f64 {
+        let [w00, w10, w01, w11] = self.w;
+        let [k00, k10, k01, k11] = self.k;
+        w00 * field[k00] + w10 * field[k10] + w01 * field[k01] + w11 * field[k11]
     }
 }
 
@@ -268,6 +385,42 @@ mod tests {
         assert_eq!(g.idx(-1, 0), 8 + 7, "x wraps");
         assert_eq!(g.idx(8, 0), 8, "x wraps forward");
         assert_eq!(g.idx(0, 8), 8 * 9, "bottom ghost row");
+    }
+
+    #[test]
+    fn cross_matches_idx_in_column_order() {
+        for nx in [1usize, 2, 3, 8] {
+            let g = Grid::slab(nx, 4, 0, 1);
+            for j in 0..4isize {
+                let mut seen = Vec::new();
+                g.for_each_cross(j, |i, c| {
+                    let ii = i as isize;
+                    let want = Cross {
+                        k: g.idx(ii, j),
+                        xp: g.idx(ii + 1, j),
+                        xm: g.idx(ii - 1, j),
+                        yp: g.idx(ii, j + 1),
+                        ym: g.idx(ii, j - 1),
+                    };
+                    assert_eq!(c, want, "nx={nx} cell ({i},{j})");
+                    seen.push(i);
+                });
+                assert_eq!(
+                    seen,
+                    (0..nx).collect::<Vec<_>>(),
+                    "nx={nx}: every column once, in order"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stencil outside slab+ghost")]
+    fn stencil_rejects_rows_past_the_ghost_band() {
+        // y = ny_local + 0.5 puts j0 + 1 past the lower ghost row.
+        let g = Grid::slab(4, 4, 0, 1);
+        let _ = Stencil::new(&g, 1.0, 4.5);
     }
 
     #[test]

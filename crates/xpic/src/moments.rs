@@ -2,14 +2,14 @@
 //! (ParticleMoments of Listing 1).
 //!
 //! Each particle scatters `q` and `q·v` to the four surrounding cell
-//! centers with the same bilinear weights the mover gathers with —
-//! the standard consistency requirement (no self-force). Particles near
+//! centers through the same [`Stencil`] the mover gathers with — the
+//! standard consistency requirement (no self-force). Particles near
 //! the slab edge deposit into the ghost rows; the solver driver adds each
 //! ghost row into the neighbouring rank's border row afterwards
 //! (deposit-then-migrate, so the halo-add and the particle migration are
 //! separate, overlappable steps).
 
-use crate::grid::{Grid, Moments};
+use crate::grid::{Grid, Moments, Stencil};
 use crate::par;
 use crate::particles::Species;
 use std::ops::Range;
@@ -25,27 +25,9 @@ pub fn deposit(grid: &Grid, species: &Species, moments: &mut Moments) {
 fn deposit_range(grid: &Grid, species: &Species, moments: &mut Moments, particles: Range<usize>) {
     let q = species.q_per_particle;
     for p in particles {
-        let lx = species.x[p];
-        let ly = grid.to_local_y(species.y[p]);
-        let gx = lx - 0.5;
-        let gy = ly - 0.5;
-        let i0 = gx.floor() as isize;
-        let j0 = gy.floor() as isize;
-        let fx = gx - i0 as f64;
-        let fy = gy - j0 as f64;
-        debug_assert!(
-            j0 >= -1 && j0 < grid.ny_local as isize,
-            "deposit outside slab+ghost: j0={j0}"
-        );
-        let w = [
-            ((i0, j0), (1.0 - fx) * (1.0 - fy)),
-            ((i0 + 1, j0), fx * (1.0 - fy)),
-            ((i0, j0 + 1), (1.0 - fx) * fy),
-            ((i0 + 1, j0 + 1), fx * fy),
-        ];
+        let s = Stencil::new(grid, species.x[p], grid.to_local_y(species.y[p]));
         let (vx, vy, vz) = (species.vx[p], species.vy[p], species.vz[p]);
-        for ((i, j), wt) in w {
-            let k = grid.idx(i, j);
+        for (k, wt) in s.k.into_iter().zip(s.w) {
             let qw = q * wt;
             moments.rho[k] += qw;
             moments.jx[k] += qw * vx;

@@ -8,30 +8,16 @@
 //! periodically in x; in y they may leave the slab — migration to the
 //! neighbour rank is the solver driver's job.
 
-use crate::grid::{Fields, Grid};
+use crate::grid::{Fields, Grid, Stencil};
 use crate::par;
 use crate::particles::Species;
 
 /// Bilinear interpolation of one field array at (x, y) in local cell
-/// coordinates (y relative to the slab, may reach into the ghost rows).
+/// coordinates (y relative to the slab, may reach into the ghost rows; see
+/// [`Stencil::new`] for the valid range).
 #[inline]
 pub fn gather(grid: &Grid, field: &[f64], x: f64, y: f64) -> f64 {
-    // Cell centers sit at integer+0.5; shift so floor() finds the lower
-    // left center.
-    let gx = x - 0.5;
-    let gy = y - 0.5;
-    let i0 = gx.floor() as isize;
-    let j0 = gy.floor() as isize;
-    let fx = gx - i0 as f64;
-    let fy = gy - j0 as f64;
-    let w00 = (1.0 - fx) * (1.0 - fy);
-    let w10 = fx * (1.0 - fy);
-    let w01 = (1.0 - fx) * fy;
-    let w11 = fx * fy;
-    w00 * field[grid.idx(i0, j0)]
-        + w10 * field[grid.idx(i0 + 1, j0)]
-        + w01 * field[grid.idx(i0, j0 + 1)]
-        + w11 * field[grid.idx(i0 + 1, j0 + 1)]
+    Stencil::new(grid, x, y).gather(field)
 }
 
 /// One contiguous block of a species' structure-of-arrays storage, handed
@@ -52,16 +38,14 @@ fn push_chunk(grid: &Grid, fields: &Fields, qom_half_dt: f64, dt: f64, c: PushCh
     for p in 0..c.x.len() {
         let lx = c.x[p];
         let ly = grid.to_local_y(c.y[p]);
-        debug_assert!(
-            (-1.0..=(grid.ny_local as f64 + 1.0)).contains(&ly),
-            "particle outside slab+ghost region: ly={ly}"
-        );
-        let ex = gather(grid, &fields.ex, lx, ly);
-        let ey = gather(grid, &fields.ey, lx, ly);
-        let ez = gather(grid, &fields.ez, lx, ly);
-        let bx = gather(grid, &fields.bx, lx, ly);
-        let by = gather(grid, &fields.by, lx, ly);
-        let bz = gather(grid, &fields.bz, lx, ly);
+        // Range-checked (ly ∈ [-0.5, ny_local + 0.5)) by the stencil.
+        let s = Stencil::new(grid, lx, ly);
+        let ex = s.gather(&fields.ex);
+        let ey = s.gather(&fields.ey);
+        let ez = s.gather(&fields.ez);
+        let bx = s.gather(&fields.bx);
+        let by = s.gather(&fields.by);
+        let bz = s.gather(&fields.bz);
 
         // Half electric acceleration.
         let mut vx = c.vx[p] + qom_half_dt * ex;

@@ -199,3 +199,195 @@ proptest! {
         }
     }
 }
+
+// Bit-exact oracles for the per-particle stencil: the mover and the
+// deposit against references that look every corner up through
+// `Grid::idx`, on slabs down to one column wide, with particles at both
+// x edges (i0 = −1 and i0 + 1 = nx) and inside the ghost-row band.
+
+/// Bilinear gather with each of the four corners indexed by `Grid::idx`.
+fn gather_all_idx(grid: &Grid, field: &[f64], x: f64, y: f64) -> f64 {
+    let gx = x - 0.5;
+    let gy = y - 0.5;
+    let i0 = gx.floor() as isize;
+    let j0 = gy.floor() as isize;
+    let fx = gx - i0 as f64;
+    let fy = gy - j0 as f64;
+    let w00 = (1.0 - fx) * (1.0 - fy);
+    let w10 = fx * (1.0 - fy);
+    let w01 = (1.0 - fx) * fy;
+    let w11 = fx * fy;
+    w00 * field[grid.idx(i0, j0)]
+        + w10 * field[grid.idx(i0 + 1, j0)]
+        + w01 * field[grid.idx(i0, j0 + 1)]
+        + w11 * field[grid.idx(i0 + 1, j0 + 1)]
+}
+
+/// The Boris push built from six `gather_all_idx` calls per particle.
+fn push_all_idx(grid: &Grid, fields: &Fields, s: &mut Species, dt: f64) {
+    let h = 0.5 * s.qom * dt;
+    for p in 0..s.len() {
+        let (lx, ly) = (s.x[p], grid.to_local_y(s.y[p]));
+        let [ex, ey, ez, bx, by, bz] = fields.components().map(|f| gather_all_idx(grid, f, lx, ly));
+        let mut vx = s.vx[p] + h * ex;
+        let mut vy = s.vy[p] + h * ey;
+        let mut vz = s.vz[p] + h * ez;
+        let (tx, ty, tz) = (h * bx, h * by, h * bz);
+        let t2 = tx * tx + ty * ty + tz * tz;
+        let (sx, sy, sz) = (
+            2.0 * tx / (1.0 + t2),
+            2.0 * ty / (1.0 + t2),
+            2.0 * tz / (1.0 + t2),
+        );
+        let px = vx + (vy * tz - vz * ty);
+        let py = vy + (vz * tx - vx * tz);
+        let pz = vz + (vx * ty - vy * tx);
+        vx += py * sz - pz * sy;
+        vy += pz * sx - px * sz;
+        vz += px * sy - py * sx;
+        vx += h * ex;
+        vy += h * ey;
+        vz += h * ez;
+        s.vx[p] = vx;
+        s.vy[p] = vy;
+        s.vz[p] = vz;
+        s.x[p] = (s.x[p] + vx * dt).rem_euclid(grid.nx as f64);
+        s.y[p] += vy * dt;
+    }
+}
+
+/// The deposit with each of the four corners indexed by `Grid::idx`.
+fn deposit_all_idx(grid: &Grid, s: &Species, m: &mut Moments) {
+    let q = s.q_per_particle;
+    for p in 0..s.len() {
+        let gx = s.x[p] - 0.5;
+        let gy = grid.to_local_y(s.y[p]) - 0.5;
+        let i0 = gx.floor() as isize;
+        let j0 = gy.floor() as isize;
+        let fx = gx - i0 as f64;
+        let fy = gy - j0 as f64;
+        let corners = [
+            ((i0, j0), (1.0 - fx) * (1.0 - fy)),
+            ((i0 + 1, j0), fx * (1.0 - fy)),
+            ((i0, j0 + 1), (1.0 - fx) * fy),
+            ((i0 + 1, j0 + 1), fx * fy),
+        ];
+        for ((i, j), wt) in corners {
+            let k = grid.idx(i, j);
+            let qw = q * wt;
+            m.rho[k] += qw;
+            m.jx[k] += qw * s.vx[p];
+            m.jy[k] += qw * s.vy[p];
+            m.jz[k] += qw * s.vz[p];
+        }
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A slab of an `nx × ny` domain (nx from 1: the single-column wrap),
+/// possibly not the first one, so local and global y differ.
+fn arb_slab() -> impl Strategy<Value = Grid> {
+    (1usize..12, 1usize..12, 1usize..4).prop_flat_map(|(nx, ny, nranks)| {
+        let nranks = nranks.min(ny);
+        (0..nranks).prop_map(move |rank| Grid::slab(nx, ny, rank, nranks))
+    })
+}
+
+/// Particles over the stencil's whole valid range: x in [0, nx) with a
+/// third each just right of 0 (i0 = −1) and just left of nx (i0 + 1 =
+/// nx), local y in [−0.5, ny_local + 0.5) with a third each in the upper
+/// and the lower ghost band.
+fn arb_edge_species(grid: Grid) -> impl Strategy<Value = Species> {
+    let nx = grid.nx as f64;
+    let ny = grid.ny_local as f64;
+    let y0 = grid.y0 as f64;
+    prop::collection::vec(
+        (
+            (0u8..3, 0.0f64..=1.0),
+            (0u8..3, 0.0f64..=1.0),
+            (-0.4f64..0.4, -0.4f64..0.4, -0.4f64..0.4),
+        ),
+        1..48,
+    )
+    .prop_map(move |ps| {
+        let mut s = Species {
+            qom: -1.0,
+            q_per_particle: -0.5,
+            ..Species::default()
+        };
+        for ((xs, xf), (ys, yf), (vx, vy, vz)) in ps {
+            let x = match xs {
+                0 => 0.5 * xf,
+                1 => nx - 0.5 * xf,
+                _ => nx * xf,
+            };
+            let ly = match ys {
+                0 => -0.5 + 0.5 * yf,
+                1 => ny + 0.5 - 0.5 * yf,
+                _ => -0.5 + (ny + 1.0) * yf,
+            };
+            let x = x.min(nx - 1e-9);
+            let ly = ly.min(ny + 0.5 - 1e-9);
+            s.push_particle(x, y0 + ly, vx, vy, vz);
+        }
+        s
+    })
+}
+
+fn seeded_fields(grid: &Grid, seed: u64) -> Fields {
+    let mut f = Fields::zeros(grid);
+    let mut state = seed | 1;
+    for comp in f.components_mut() {
+        for v in comp.iter_mut() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            *v = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+        }
+    }
+    f
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn stencil_kernels_match_all_idx_oracles_bit_for_bit(
+        (grid, species) in arb_slab().prop_flat_map(|g| arb_edge_species(g).prop_map(move |s| (g, s))),
+        seed in any::<u64>(),
+        dt in 0.01f64..0.5,
+    ) {
+        let fields = seeded_fields(&grid, seed);
+        for p in 0..species.len() {
+            let (x, ly) = (species.x[p], grid.to_local_y(species.y[p]));
+            prop_assert_eq!(
+                gather(&grid, &fields.ex, x, ly).to_bits(),
+                gather_all_idx(&grid, &fields.ex, x, ly).to_bits(),
+                "gather at ({}, {}) on nx={}", x, ly, grid.nx
+            );
+        }
+
+        let mut pushed = species.clone();
+        boris_push(&grid, &fields, &mut pushed, dt);
+        let mut oracle = species.clone();
+        push_all_idx(&grid, &fields, &mut oracle, dt);
+        for (a, b) in [
+            (&pushed.x, &oracle.x),
+            (&pushed.y, &oracle.y),
+            (&pushed.vx, &oracle.vx),
+            (&pushed.vy, &oracle.vy),
+            (&pushed.vz, &oracle.vz),
+        ] {
+            prop_assert_eq!(bits(a), bits(b), "push differs on nx={}", grid.nx);
+        }
+
+        let mut m = Moments::zeros(&grid);
+        deposit(&grid, &species, &mut m);
+        let mut mo = Moments::zeros(&grid);
+        deposit_all_idx(&grid, &species, &mut mo);
+        for (a, b) in m.components().iter().zip(mo.components().iter()) {
+            prop_assert_eq!(bits(a), bits(b), "deposit differs on nx={}", grid.nx);
+        }
+    }
+}
