@@ -9,10 +9,9 @@
 //!
 //! `--smoke` runs a reduced configuration as a CI regression gate: the
 //! run must stay under a ns/message ceiling and over a msgs/sec floor.
-//! The thresholds carry roughly a 10x margin over the measured cost on a
-//! single-core container, so they only trip on order-of-magnitude
-//! regressions (a global lock back on the delivery path, an allocation
-//! per message), not on host jitter.
+//! The ceiling is 1.5x the slowest of fifteen measured smoke runs, so it
+//! trips on a regression in the delivery path (a global lock, an
+//! allocation or a wake-up syscall per message), not on host jitter.
 //!
 //! Wall-clock use is deliberate and confined to this binary (deepcheck
 //! D001 allowlist): the workload underneath is pure virtual time.
@@ -22,10 +21,10 @@ use obs::HostMetrics;
 use std::time::Instant;
 
 /// Smoke gate: host cost per delivered message must stay under this.
-/// Measured ~11 us/msg at 1000 nodes x 8 rounds on the reference
-/// single-core container (thread spawn amortized over 8000 messages);
-/// the ceiling is ~9x that.
-const SMOKE_MAX_NS_PER_MSG: f64 = 100_000.0;
+/// Fifteen smoke runs (1000 nodes x 8 rounds, thread spawn amortized over
+/// 8000 messages) on a 2-vCPU host measured 13.2-20.0 us/msg; the ceiling
+/// is 1.5x the slowest, rounded up. Ratchet it down, never up.
+const SMOKE_MAX_NS_PER_MSG: f64 = 30_000.0;
 
 /// Smoke gate: sustained delivery rate must stay above this (~1/9 of the
 /// ~93k msgs/s measured on the reference single-core container).

@@ -4,6 +4,14 @@
 //! into the receiver's mailbox and moves on, as with small/eager messages in
 //! a real MPI; this also makes naive exchange loops deadlock-free). Receives
 //! block on a condition variable until a matching envelope exists.
+//!
+//! A parked receiver is woken once per park, not once per deposit: a deposit
+//! notifies the condition variable only when some receiver has parked since
+//! the last wake-up, so a sender streaming into a mailbox whose receiver is
+//! already awake (or not waiting at all) makes no wake-up syscall. The
+//! depositor that notifies also clears the park count, because the receiver
+//! it woke often gets the CPU only after a burst of further deposits; see
+//! [`Mailbox`] for the full rule and why no wake-up can be lost.
 
 use crate::comm::CommId;
 use crate::envelope::{EndpointId, Envelope, Tag};
@@ -11,7 +19,7 @@ use crate::pool::BufferPool;
 use crate::rank::PsmpiError;
 use bytes::Bytes;
 use hwmodel::{NodeId, SimTime};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use simnet::Fabric;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -43,6 +51,9 @@ struct MailboxState {
     index: HashMap<(CommId, usize, Tag), VecDeque<u64>>,
     /// Number of live (non-tombstone) envelopes.
     live: usize,
+    /// Receivers that parked on the condition variable since the last
+    /// wake-up (see [`Mailbox`]).
+    parked: usize,
 }
 
 impl MailboxState {
@@ -110,6 +121,24 @@ pub enum RecvAbort {
 }
 
 /// One endpoint's incoming-message queue.
+///
+/// **Wake once per park.** A receiver that finds no match registers itself
+/// in `parked` (under the `state` lock) and only then waits; a deposit
+/// calls `notify_all` only if `parked > 0`, and resets it to zero when it
+/// does. A notify is a futex syscall even with no waiter, so this takes the
+/// syscall off every deposit that nobody is waiting for.
+///
+/// The notifier does the reset, not the woken waiter: a streaming sender
+/// typically deposits dozens of messages before the receiver it woke gets
+/// the CPU, and a count the waiter decremented itself would still read
+/// "parked" for that whole burst, so every deposit would notify again.
+///
+/// No wake-up is lost: a waiter registers under the lock, and `wait`
+/// releases that lock atomically, so any later deposit either sees
+/// `parked > 0` or follows a `notify_all` issued after the registration.
+/// A spurious wake-up merely registers again, which can cost one extra
+/// notify but never drops one. [`Mailbox::interrupt`] resets the count and
+/// always notifies.
 #[derive(Default)]
 pub struct Mailbox {
     state: Mutex<MailboxState>, // lock-order: 10
@@ -117,10 +146,16 @@ pub struct Mailbox {
 }
 
 impl Mailbox {
-    /// Deposit an envelope and wake any blocked receiver.
+    /// Deposit an envelope and wake any receiver parked since the last
+    /// wake-up.
     pub fn push(&self, env: Envelope) {
         let mut s = self.state.lock();
         crate::lock_witness!("psmpi.state");
+        self.deposit(&mut s, env);
+    }
+
+    /// [`Mailbox::push`] under an already-held `state` guard.
+    fn deposit(&self, s: &mut MailboxState, env: Envelope) {
         let arrival = s.base + s.slots.len() as u64;
         s.index
             .entry((env.comm, env.src_rank, env.tag))
@@ -128,7 +163,17 @@ impl Mailbox {
             .push_back(arrival);
         s.slots.push_back(Some(env));
         s.live += 1;
-        self.cv.notify_all();
+        if s.parked > 0 {
+            s.parked = 0;
+            self.cv.notify_all();
+        }
+    }
+
+    /// Register as parked, then block until the next wake-up. Every wait
+    /// loop parks through here so a deposit knows someone is waiting.
+    fn park(&self, s: &mut MutexGuard<'_, MailboxState>) {
+        s.parked += 1;
+        self.cv.wait(s);
     }
 
     /// Block until an envelope matching `(comm, src, tag)` is queued, then
@@ -142,7 +187,7 @@ impl Mailbox {
             if let Some(arrival) = s.find(comm, src, tag) {
                 return s.take(arrival);
             }
-            self.cv.wait(&mut s);
+            self.park(&mut s);
         }
     }
 
@@ -185,15 +230,16 @@ impl Mailbox {
                     return Err(RecvAbort::Dead(node, at));
                 }
             }
-            self.cv.wait(&mut s);
+            self.park(&mut s);
         }
     }
 
     /// Wake every blocked receiver so it re-evaluates its abort conditions
     /// (called when a node is declared down).
     pub fn interrupt(&self) {
-        let _guard = self.state.lock();
+        let mut s = self.state.lock();
         crate::lock_witness!("psmpi.state");
+        s.parked = 0;
         self.cv.notify_all();
     }
 
@@ -240,7 +286,7 @@ impl Mailbox {
                     e.src_endpoint,
                 );
             }
-            self.cv.wait(&mut s);
+            self.park(&mut s);
         }
     }
 
@@ -263,7 +309,7 @@ impl Mailbox {
                 (None, Some(_)) => return tag_b,
                 (None, None) => {}
             }
-            self.cv.wait(&mut s);
+            self.park(&mut s);
         }
     }
 
@@ -879,20 +925,108 @@ mod tests {
         assert!(got.is_ok());
     }
 
+    /// How long a test waits on a parked receiver before calling the
+    /// wake-up lost (a lost wake-up would otherwise hang the test).
+    const WAKE_DEADLINE: std::time::Duration = std::time::Duration::from_secs(30);
+
+    /// Run `f` on its own thread; the result arrives on the channel.
+    fn watched<T: Send + 'static>(
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> std::sync::mpsc::Receiver<T> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx
+    }
+
+    /// Spin until some receiver is registered as parked on `m`.
+    fn await_parked(m: &Mailbox) {
+        let deadline = std::time::Instant::now() + WAKE_DEADLINE;
+        while m.state.lock().parked == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "receiver never parked"
+            );
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn declared_dead_wakes_blocked_receiver() {
         let r = router();
         let a = r.register_endpoint(NodeId(0));
         let b = r.register_endpoint(NodeId(1));
         let mb = r.mailbox(a).unwrap();
-        let r2 = r.clone();
-        let h = std::thread::spawn(move || {
-            mb.recv_match_abortable(CommId(1), Some(0), Some(5), || r2.dead_node_of(b))
+        let (mb2, r2) = (mb.clone(), r.clone());
+        let rx = watched(move || {
+            mb2.recv_match_abortable(CommId(1), Some(0), Some(5), || r2.dead_node_of(b))
         });
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        await_parked(&mb);
+        // A non-matching deposit spends the receiver's wake-up: it re-checks,
+        // finds neither a match nor a death, and parks again. The later
+        // declaration must still reach it through `interrupt`.
+        mb.push(env(1, 1, 5, 0));
+        await_parked(&mb);
         r.declare_down(NodeId(1), SimTime::from_secs(1.0));
-        let res = h.join().unwrap();
+        let res = rx
+            .recv_timeout(WAKE_DEADLINE)
+            .expect("re-parked receiver woken");
         assert!(matches!(res, Err(RecvAbort::Dead(_, _))));
+        assert_eq!(mb.state.lock().parked, 0, "interrupt reset the count");
+        assert_eq!(mb.len(), 1, "the non-matching envelope stays queued");
+    }
+
+    #[test]
+    fn deposits_with_no_parked_receiver_skip_the_notify() {
+        let m = Mailbox::default();
+        for i in 0..16 {
+            m.push(env(1, 0, 5, i));
+            assert_eq!(m.state.lock().parked, 0, "nobody parked, nothing to wake");
+        }
+        // A receive that finds its match at once never parks either.
+        for i in 0..16 {
+            assert_eq!(m.recv_match(CommId(1), Some(0), Some(5)).seq, i);
+        }
+        assert_eq!(m.state.lock().parked, 0);
+    }
+
+    #[test]
+    fn burst_into_parked_receiver_wakes_it_once_then_drains_fifo() {
+        const K: u64 = 64;
+        let m = Arc::new(Mailbox::default());
+        let m2 = m.clone();
+        let rx = watched(move || {
+            let matched = m2.recv_match(CommId(1), Some(9), Some(7)).seq;
+            let rest: Vec<u64> = (0..K)
+                .map(|_| m2.recv_match(CommId(1), None, None).seq)
+                .collect();
+            (matched, rest)
+        });
+        await_parked(&m);
+        {
+            // Holding the lock keeps the woken receiver from re-parking, so
+            // every count read here is the deposits' own doing.
+            let mut s = m.state.lock();
+            for i in 0..K {
+                m.deposit(&mut s, env(1, 0, 5, i));
+                assert_eq!(
+                    s.parked, 0,
+                    "first deposit resets, the burst never re-raises"
+                );
+            }
+            m.deposit(&mut s, env(1, 9, 7, K));
+            assert_eq!(s.parked, 0);
+        }
+        let (matched, rest) = rx.recv_timeout(WAKE_DEADLINE).expect("receiver woken");
+        assert_eq!(matched, K, "the match is taken past the burst");
+        assert_eq!(
+            rest,
+            (0..K).collect::<Vec<_>>(),
+            "the burst drains in FIFO order"
+        );
+        assert!(m.is_empty());
+        assert_eq!(m.state.lock().parked, 0, "no stale registration left");
     }
 
     /// The runtime witness sees the cross-function order the static pass
@@ -968,10 +1102,10 @@ mod tests {
     fn recv_blocks_until_push() {
         let m = Arc::new(Mailbox::default());
         let m2 = m.clone();
-        let h = std::thread::spawn(move || m2.recv_match(CommId(1), None, None));
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        let rx = watched(move || m2.recv_match(CommId(1), None, None));
+        await_parked(&m);
         m.push(env(1, 0, 0, 0));
-        let got = h.join().unwrap();
+        let got = rx.recv_timeout(WAKE_DEADLINE).expect("receiver woken");
         assert_eq!(got.comm, CommId(1));
     }
 

@@ -11,14 +11,19 @@
 //! 2. **Probe earliest-arrival** — `probe_blocking_either` reports the tag
 //!    of the *earliest* queued envelope from the awaited sender and never
 //!    dequeues anything, even when it blocks across a concurrent push.
+//! 3. **No lost wake-up** — a deposit only notifies when a receiver parked
+//!    since the last wake-up, so a receiver that parks must always be
+//!    reached by a later matching push, whichever blocking call it is in.
 
 use bytes::Bytes;
 use hwmodel::SimTime;
 use psmpi::envelope::EndpointId;
 use psmpi::router::Mailbox;
 use psmpi::{CommId, Envelope, Tag};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 const COMM: CommId = CommId(1);
 const TAG: Tag = 5;
@@ -239,5 +244,98 @@ fn probe_blocking_either_race_with_concurrent_sender() {
         let e = mbox.recv_match(COMM, Some(7), Some(TAG_B));
         assert_eq!(decode(&e.payload), (7, 0));
     }
+    psmpi::lockcheck::assert_acyclic();
+}
+
+/// Run `body` on its own thread and fail the test if it has not finished
+/// within `limit`: a lost wake-up parks a receiver forever, and this turns
+/// that hang into a test failure.
+fn under_watchdog<T: Send + 'static>(
+    limit: Duration,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = tx.send(body());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(v) => v,
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("no progress within {limit:?}: a parked receiver was never woken")
+        }
+        Err(RecvTimeoutError::Disconnected) => panic!("stress body panicked"),
+    }
+}
+
+/// Tag of a producer's `i`-th envelope: alternating, so exact receives and
+/// `probe_blocking_either` both have a class to wait on.
+fn tag_of(i: u64) -> Tag {
+    if i.is_multiple_of(2) {
+        TAG_A
+    } else {
+        TAG_B
+    }
+}
+
+/// Eight producers push 10k envelopes each into one mailbox while a single
+/// consumer cycles through an exact receive from one producer, a full
+/// wildcard receive, and a `probe_blocking_either` on one producer followed
+/// by the receive it names. The exact and probe calls park on one sender
+/// while the others keep depositing non-matching envelopes, which is where
+/// a wake-up spent on the wrong deposit would strand the consumer.
+#[test]
+fn mixed_receives_never_lose_a_wake_up_under_eight_producers() {
+    const PRODUCERS: usize = 8;
+    const PER_PRODUCER: u64 = 10_000;
+
+    let next = under_watchdog(Duration::from_secs(60), || {
+        let mbox = Arc::new(Mailbox::default());
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let mbox = mbox.clone();
+                thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        mbox.push(env(p, tag_of(i), i));
+                        // Short bursts let the consumer catch up and park.
+                        if i % 64 == 63 {
+                            thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+
+        let mut next = [0u64; PRODUCERS];
+        let mut turn = 0usize;
+        for n in 0..PRODUCERS as u64 * PER_PRODUCER {
+            // Round-robin over the producers that still owe envelopes.
+            let p = loop {
+                let p = turn % PRODUCERS;
+                turn += 1;
+                if next[p] < PER_PRODUCER {
+                    break p;
+                }
+            };
+            let e = match n % 3 {
+                0 => mbox.recv_match(COMM, Some(p), Some(tag_of(next[p]))),
+                1 => mbox.recv_match(COMM, None, None),
+                _ => {
+                    let tag = mbox.probe_blocking_either(COMM, p, TAG_A, TAG_B);
+                    assert_eq!(tag, tag_of(next[p]), "probe saw producer {p} out of order");
+                    mbox.recv_match(COMM, Some(p), Some(tag))
+                }
+            };
+            let (s, i) = decode(&e.payload);
+            assert_eq!(e.src_rank, s, "payload sender matches envelope");
+            assert_eq!(i, next[s], "producer {s} overtaken");
+            next[s] += 1;
+        }
+        for h in producers {
+            h.join().unwrap();
+        }
+        assert!(mbox.is_empty(), "every envelope consumed");
+        next
+    });
+    assert!(next.iter().all(|&n| n == PER_PRODUCER));
     psmpi::lockcheck::assert_acyclic();
 }
